@@ -6,8 +6,8 @@ decimal renderings appear only alongside the exact values when --approx is
 given.  Output is deterministic: identical config gives byte-identical
 output.
 
-Exit codes: 0 success, 1 invalid parameters or usage, 2 internal
-consistency failure.
+Exit codes: 0 success, 1 invalid parameters, usage or an unwritable
+--output path, 2 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ from .invariants import (
 )
 from .verify import run_paper_suite
 from .zcohomology import cohomology_Mbar, h4_M_order
+
+
+class OutputError(Exception):
+    """The --output path could not be written."""
+
 
 CSV_COLUMNS = ["k", "c", "s", "t", "a_value", "eta_rel", "A0", "A1", "sign_convention"]
 
@@ -89,10 +94,13 @@ def _emit(text: str, output: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(output, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _report_rows_csv(rows) -> str:
@@ -229,7 +237,7 @@ def main(argv=None) -> int:
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AffinityViolation as exc:

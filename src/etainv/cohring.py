@@ -77,6 +77,19 @@ class CohClass:
         object.__setattr__(self, "p", tuple(Rational(c) for c in p))
         object.__setattr__(self, "q", tuple(Rational(c) for c in q))
 
+    @classmethod
+    def _trusted(cls, spec: RingSpec, p: tuple, q: tuple) -> "CohClass":
+        """Wrap tuples that are already length 2k and hold only Rational values.
+
+        Ring operations produce such tuples themselves, so they skip the
+        length check and per-coefficient coercion of the public constructor.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "spec", spec)
+        object.__setattr__(obj, "p", p)
+        object.__setattr__(obj, "q", q)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("CohClass is immutable")
 
@@ -110,17 +123,22 @@ class CohClass:
         Consequently u^{2k}*v = 0 and u^m = 0 for m > 2k.
         """
         n = 2 * spec.k
-        p = list(p_raw)
-        q = list(q_raw)
-        if len(p) > n:
-            # only u^{2k} survives reduction into the v-part
-            overflow = p[n]
-            p = p[:n]
-            if overflow:
-                q += [Rational(0)] * (n - len(q))
-                q[n - 1] = q[n - 1] + overflow * spec.c
+        zero = Rational(0)
+        p = [Rational(c) for c in p_raw]
+        q = [Rational(c) for c in q_raw]
+        p += [zero] * (n - len(p))
+        q += [zero] * (n - len(q))
+        return cls._reduce_padded(spec, p, q)
+
+    @classmethod
+    def _reduce_padded(cls, spec: RingSpec, p: list, q: list) -> "CohClass":
+        """reduce() for Rational lists already at least 2k long."""
+        n = 2 * spec.k
         q = q[:n]
-        return cls(spec, p, q)
+        # only u^{2k} survives reduction into the v-part
+        if len(p) > n and p[n]:
+            q[n - 1] = q[n - 1] + p[n] * spec.c
+        return cls._trusted(spec, tuple(p[:n]), tuple(q))
 
     # -- structure ---------------------------------------------------------
 
@@ -163,20 +181,25 @@ class CohClass:
 
     def __add__(self, other: "CohClass") -> "CohClass":
         self._check(other)
-        return CohClass(
+        return CohClass._trusted(
             self.spec,
-            (a + b for a, b in zip(self.p, other.p)),
-            (a + b for a, b in zip(self.q, other.q)),
+            tuple(a + b for a, b in zip(self.p, other.p)),
+            tuple(a + b for a, b in zip(self.q, other.q)),
         )
 
     def __neg__(self) -> "CohClass":
-        return CohClass(self.spec, (-c for c in self.p), (-c for c in self.q))
+        return CohClass._trusted(
+            self.spec, tuple(-c for c in self.p), tuple(-c for c in self.q)
+        )
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + (-other)
 
     def scale(self, c) -> "CohClass":
-        return CohClass(self.spec, (c * a for a in self.p), (c * a for a in self.q))
+        c = Rational(c)
+        return CohClass._trusted(
+            self.spec, tuple(c * a for a in self.p), tuple(c * a for a in self.q)
+        )
 
     def __mul__(self, other):
         if not isinstance(other, CohClass):
@@ -201,7 +224,7 @@ class CohClass:
             for j, b in enumerate(other.p):
                 if b:
                     vq[i + j] += a * b
-        return CohClass.reduce(self.spec, pp, vq)
+        return CohClass._reduce_padded(self.spec, pp, vq)
 
     __rmul__ = __mul__
 

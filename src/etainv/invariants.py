@@ -8,6 +8,12 @@ datum is affine, a = A0 - A1*t, and A1 is computed here along three
 independent routes (ring integral, univariate series, residue after
 substitution) that must agree exactly.
 
+A-hat(B_c) and the affine split (A0, A1) depend only on (k, c, s) and the
+truncation order.  A single report builds A-hat(B_c) once for its direct
+integral and its three probes t = 1, 3, 5; a family sweep builds A-hat(B_c)
+and (A0, A1) once, then does one ring integral per valid t, each still
+checked against A0 - A1*t.
+
 The sign convention: the integral carries an undetermined global sign coming
 from the lift of the involution to the Spin^c structure.  We always take the
 plus branch and record sign_convention = "PLUS" in every report; distinctness
@@ -182,11 +188,15 @@ def local_datum_integrand(params: FamilyParams, order: int | None = None) -> Coh
 
 
 def _integrand_raw(k: int, c: int, s: int, t: int, order: int | None = None) -> CohClass:
-    spec = RingSpec(k, c)
     if order is None:
         order = _default_order(k)
-    y = CohClass.from_uv(spec, s, t)
-    return ahat_Bc(spec, order) * coh_eval_series(_inv_two_cosh(order), y)
+    return _integrand_at(ahat_Bc(RingSpec(k, c), order), s, t, order)
+
+
+def _integrand_at(ahat: CohClass, s: int, t: int, order: int) -> CohClass:
+    # ahat = ahat_Bc(spec, order), built once by the caller and shared across t
+    y = CohClass.from_uv(ahat.spec, s, t)
+    return ahat * coh_eval_series(_inv_two_cosh(order), y)
 
 
 def local_datum(params: FamilyParams, order: int | None = None):
@@ -207,23 +217,33 @@ def _local_datum_raw(k: int, c: int, s: int, t: int, order: int | None = None):
 
 def decompose_affine_in_t(k: int, c: int, s: int, order: int | None = None):
     """(A0, A1) with local datum = A0 - A1*t, from probes t = 1, 3, checked at t = 5."""
-    a1 = _local_datum_raw(k, c, s, 1, order)
-    a3 = _local_datum_raw(k, c, s, 3, order)
-    a5 = _local_datum_raw(k, c, s, 5, order)
+    if order is None:
+        order = _default_order(k)
+    _, A0, A1 = _t_independent(RingSpec(k, c), s, order)
+    return A0, A1
+
+
+def _datum_at(ahat: CohClass, s: int, t: int, order: int):
+    return coh_integrate(_integrand_at(ahat, s, t, order))
+
+
+def _t_independent(spec: RingSpec, s: int, order: int):
+    """(A-hat(B_c), A0, A1): the ring work shared by every t of one (k, c, s, order)."""
+    ahat = ahat_Bc(spec, order)
+    a1, a3, a5 = (_datum_at(ahat, s, t, order) for t in (1, 3, 5))
     A1 = (a1 - a3) / 2
     A0 = a1 + A1
     if a5 != A0 - A1 * 5:
         raise AffinityViolation(
-            f"probes t=1,3,5 not collinear for (k={k}, c={c}, s={s}): "
+            f"probes t=1,3,5 not collinear for (k={spec.k}, c={spec.c}, s={s}): "
             f"{a1}, {a3}, {a5}"
         )
-    return A0, A1
+    return ahat, A0, A1
 
 
-def relative_eta(params: FamilyParams, order: int | None = None) -> EtaReport:
-    """Full report: eta_rel = -2 * local datum, plus the affine decomposition."""
-    a = local_datum(params, order)
-    A0, A1 = decompose_affine_in_t(params.k, params.c, params.s, order)
+def _checked_report(params: FamilyParams, ahat: CohClass, A0, A1, order: int) -> EtaReport:
+    """The report at params.t from its own ring integral, checked against A0 - A1*t."""
+    a = _datum_at(ahat, params.s, params.t, order)
     if a != A0 - A1 * params.t:
         raise AffinityViolation(
             f"direct local datum disagrees with affine decomposition at t={params.t}"
@@ -236,6 +256,17 @@ def relative_eta(params: FamilyParams, order: int | None = None) -> EtaReport:
         A1=A1,
         sign_convention=SIGN_PLUS,
     )
+
+
+def relative_eta(params: FamilyParams, order: int | None = None) -> EtaReport:
+    """Full report: eta_rel = -2 * local datum, plus the affine decomposition.
+
+    A-hat(B_c) is built once and shared by the direct integral at t and the
+    three affine probes.
+    """
+    if order is None:
+        order = _default_order(params.k)
+    return _checked_report(params, *_t_independent(params.spec, params.s, order), order)
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +400,25 @@ def family_scan(k: int, c: int, s: int, t_values, order: int | None = None) -> S
     """Per-t eta reports plus the number of distinct eta values.
 
     Invalid t values are reported per entry and the scan continues; results
-    are assembled in the order of t_values.
+    are assembled in the order of t_values.  A-hat(B_c) and (A0, A1) depend
+    only on (k, c, s, order), so they are built once, at the first valid t;
+    every valid row still does its own ring integral, checked against
+    A0 - A1*t.
     """
+    if order is None:
+        order = _default_order(k)
     entries = []
     seen = set()
+    shared = None
     for t in t_values:
         try:
             params = FamilyParams(k=k, c=c, s=s, t=t)
         except InvalidParams as exc:
             entries.append(ScanEntry(t=t, error=str(exc)))
             continue
-        report = relative_eta(params, order)
+        if shared is None:
+            shared = _t_independent(params.spec, s, order)
+        report = _checked_report(params, *shared, order)
         seen.add(report.eta_rel)
         entries.append(ScanEntry(t=t, report=report))
     return ScanResult(entries=tuple(entries), distinct_count=len(seen))

@@ -132,6 +132,32 @@ def test_output_file(capsys, tmp_path):
     assert d["eta_rel"] == "-3/4"
 
 
+def test_output_unwritable_path_exit_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(
+        capsys, "compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1",
+        "--output", str(target),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_family_order_too_small_matches_compute(capsys):
+    code, _, compute_err = run_cli(
+        capsys, "compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1", "--order", "3",
+    )
+    assert code == 1
+    assert compute_err == "error: series order 3 < 2k = 4; higher terms would be lost\n"
+    code, out, family_err = run_cli(
+        capsys, "family", "-k", "2", "-c", "1", "-s", "2",
+        "--t-min", "1", "--t-max", "9", "--order", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert family_err == compute_err
+
+
 def test_verify_exit_0(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "paper")
     assert code == 0

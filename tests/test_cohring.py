@@ -1,6 +1,9 @@
 """Normal-form arithmetic in Q[u,v]/(v^2, u^{2k} - c*u^{2k-1}*v)."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etainv.cohring import (
     CohClass,
@@ -128,3 +131,47 @@ def test_immutable():
     a = CohClass.u(RingSpec(2, 1))
     with pytest.raises(AttributeError):
         a.p = ()
+
+
+def _assert_normal_form(x):
+    n = 2 * x.spec.k
+    assert len(x.p) == len(x.q) == n
+    assert all(type(c) is Rational for c in x.p + x.q)
+    rebuilt = CohClass(x.spec, x.p, x.q)
+    assert x == rebuilt
+    assert hash(x) == hash(rebuilt)
+
+
+_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def _class_pairs(draw):
+    k = draw(st.integers(2, 4))
+    spec = RingSpec(k, draw(st.sampled_from((1, -1, 3, -5))))
+    coeffs = st.lists(_fractions, min_size=2 * k, max_size=2 * k)
+    a = CohClass(spec, draw(coeffs), draw(coeffs))
+    b = CohClass(spec, draw(coeffs), draw(coeffs))
+    return a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(_class_pairs(), _fractions, st.integers(-7, 7), st.integers(0, 5))
+def test_ring_results_stay_in_normal_form(pair, frac, m, power):
+    a, b = pair
+    spec = a.spec
+    nilpotent = CohClass(spec, (0,) + a.p[1:], a.q)
+    results = [
+        a * b,
+        a + b,
+        a - b,
+        -a,
+        a.scale(m),
+        a.scale(frac),
+        a * m,
+        a ** power,
+        coh_eval_series(ps_exp(frac, 2 * spec.k + 1), nilpotent),
+        CohClass.reduce(spec, [m] * (2 * spec.k + 1), [1]),
+    ]
+    for x in results:
+        _assert_normal_form(x)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from etainv import invariants
 from etainv.cohring import CohClass, InsufficientOrder, RingSpec, coh_integrate
 from etainv.coeffcore import Rational, UniPoly, poly_eval
 from etainv.invariants import (
@@ -213,3 +214,40 @@ def test_family_scan_to_dict_rows():
 def test_family_scan_large_all_distinct():
     result = family_scan(2, 1, 2, list(range(1, 40, 2)))
     assert result.distinct_count == len(result.entries) == 20
+
+
+def _single_report_or_error(k, c, s, t, order):
+    try:
+        params = FamilyParams(k, c, s, t)
+    except InvalidParams as exc:
+        return None, str(exc)
+    return relative_eta(params, order), None
+
+
+@pytest.mark.parametrize("order_pad", [None, 4])
+def test_family_scan_matches_single_reports(order_pad):
+    # s = 6 and 18 make every t divisible by 3 an invalid row
+    t_values = list(range(-5, 10))
+    for k in (2, 3):
+        order = None if order_pad is None else 4 * k + 2 + order_pad
+        for c in (1, -3):
+            for s in (2, -4, 6, 18):
+                result = family_scan(k, c, s, t_values, order)
+                assert [e.t for e in result.entries] == t_values
+                for entry in result.entries:
+                    report, error = _single_report_or_error(k, c, s, entry.t, order)
+                    assert entry.error == error, (k, c, s, entry.t)
+                    assert entry.report == report, (k, c, s, entry.t)
+                valid = [e.report for e in result.entries if e.report is not None]
+                assert valid
+                assert result.distinct_count == len({r.eta_rel for r in valid})
+
+
+def test_family_scan_all_invalid_builds_no_ring_class(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ahat_Bc called for a scan with no valid t")
+
+    monkeypatch.setattr(invariants, "ahat_Bc", refuse)
+    result = family_scan(2, 1, 6, [2, 3, 4, 9, 15])
+    assert result.distinct_count == 0
+    assert all(e.report is None and e.error for e in result.entries)
