@@ -36,6 +36,8 @@ class OutputError(Exception):
 
 
 CSV_COLUMNS = ["k", "c", "s", "t", "a_value", "eta_rel", "A0", "A1", "sign_convention"]
+# family rows keep every requested t; an invalid row fills only t and error
+FAMILY_CSV_COLUMNS = CSV_COLUMNS + ["error"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,12 +105,12 @@ def _emit(text: str, output: str | None):
             raise OutputError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
-def _report_rows_csv(rows) -> str:
+def _report_rows_csv(rows, columns=CSV_COLUMNS) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({key: row.get(key, "") for key in CSV_COLUMNS})
+        writer.writerow({key: row.get(key, "") for key in columns})
     return buf.getvalue()
 
 
@@ -140,8 +142,7 @@ def _cmd_family(args) -> int:
     if args.format == "json":
         _emit(json.dumps(d, indent=2), args.output)
     elif args.format == "csv":
-        rows = [row for row in d["rows"] if "error" not in row]
-        _emit(_report_rows_csv(rows), args.output)
+        _emit(_report_rows_csv(d["rows"], FAMILY_CSV_COLUMNS), args.output)
     else:
         lines = []
         for row in d["rows"]:

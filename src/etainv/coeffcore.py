@@ -19,7 +19,6 @@ __all__ = [
     "RATIONAL_BACKEND",
     "DivisionByZero",
     "gcd",
-    "rat_op",
     "rat_to_str",
     "rat_from_str",
     "UniPoly",
@@ -50,21 +49,6 @@ class DivisionByZero(ZeroDivisionError):
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor, nonnegative; gcd(0, 0) = 0."""
     return math.gcd(a, b)
-
-
-def rat_op(kind: str, a, b):
-    """Dispatch one exact rational operation; kind in {add, sub, mul, div}."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        if not b:
-            raise DivisionByZero("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown rational operation {kind!r}")
 
 
 def rat_to_str(q) -> str:

@@ -19,8 +19,6 @@ __all__ = [
     "SpecMismatch",
     "NonNilpotentArgument",
     "InsufficientOrder",
-    "coh_add",
-    "coh_mul",
     "coh_eval_series",
     "coh_integrate",
 ]
@@ -259,14 +257,6 @@ class CohClass:
             if c:
                 terms.append(f"({rat_to_str(c)})u^{i}v")
         return "CohClass(" + (" + ".join(terms) or "0") + ")"
-
-
-def coh_add(a: CohClass, b: CohClass) -> CohClass:
-    return a + b
-
-
-def coh_mul(a: CohClass, b: CohClass) -> CohClass:
-    return a * b
 
 
 def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:

@@ -6,7 +6,10 @@ characteristic-class product in the ring Q[u,v]/(v^2, u^{2k} - c*u^{2k-1}*v);
 the relative eta-invariant is -2 times that value.  As a function of t the
 datum is affine, a = A0 - A1*t, and A1 is computed here along three
 independent routes (ring integral, univariate series, residue after
-substitution) that must agree exactly.
+substitution) that must agree exactly.  As a polynomial in s, A1 comes from
+one rational series T scaled by s^n: [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n.
+Tests check it against the univariate series run over Q[s] with s as the
+generator.
 
 A-hat(B_c) and the affine split (A0, A1) depend only on (k, c, s) and the
 truncation order.  A single report builds A-hat(B_c) once for its direct
@@ -291,14 +294,17 @@ def _a1_series(k: int, s_val, order: int | None = None):
         raise InvalidParams(f"k must be >= 2, got {k}")
     if order is None:
         order = 2 * k + 2
-    half = _half(s_val)
+    ahat = PowerSeries("u", _ahat_factor(order).coeffs, order)
+    return (ahat ** (2 * k) * _t_factor(_half(s_val), order)).coeff(2 * k - 1)
+
+
+def _t_factor(half, order: int) -> PowerSeries:
+    """S/(2*C^2) in u, with S = e^{half*u}-e^{-half*u} and C = e^{half*u}+e^{-half*u}."""
     e_plus = ps_exp(half, order, "u")
     e_minus = ps_exp(-half, order, "u")
     sinh2 = e_plus - e_minus
     cosh2 = e_plus + e_minus
-    t_factor = sinh2.divide((cosh2 * cosh2).scale(2))
-    ahat = PowerSeries("u", _ahat_factor(order).coeffs, order)
-    return (ahat ** (2 * k) * t_factor).coeff(2 * k - 1)
+    return sinh2.divide((cosh2 * cosh2).scale(2))
 
 
 def a1_direct(k: int, s: int, order: int | None = None):
@@ -349,12 +355,20 @@ def s2_closed_form(k: int):
 
 
 def a1_poly_in_s(k: int) -> UniPoly:
-    """A1 as an exact element of Q[s]: odd, of degree <= 2k-1."""
-    s_gen = UniPoly.gen("s")
-    coeff = _a1_series(k, s_gen)
-    if isinstance(coeff, UniPoly):
-        return coeff
-    return UniPoly.constant("s", coeff)
+    """A1 as an exact element of Q[s]: odd, of degree <= 2k-1.
+
+    A1 = [u^{2k-1}] F(u)^{2k} T(su) with F(u) = u/(e^{u/2}-e^{-u/2}) and
+    T(x) = sinh(x/2)/(2cosh(x/2))^2.  T(su) has coefficients T_n s^n, so
+    [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n, computed over Q.
+    """
+    if k < 2:
+        raise InvalidParams(f"k must be >= 2, got {k}")
+    top = 2 * k - 1
+    f_pow = _ahat_factor(2 * k + 2).truncate(top) ** (2 * k)
+    t_factor = _t_factor(Rational(1, 2), top)
+    return UniPoly(
+        "s", (f_pow.coeffs[top - n] * t_factor.coeffs[n] for n in range(top + 1))
+    )
 
 
 def find_good_s(k: int, s_candidates) -> list[int]:

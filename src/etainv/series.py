@@ -21,11 +21,6 @@ __all__ = [
     "NotReversible",
     "OrderExceeded",
     "ps_exp",
-    "ps_arith",
-    "ps_div",
-    "ps_compose",
-    "ps_revert",
-    "ps_coeff",
 ]
 
 
@@ -179,16 +174,31 @@ class PowerSeries:
         return PowerSeries(self.variable, (c * a for a in self.coeffs), self.order)
 
     def __pow__(self, n: int):
+        """self**n by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), O(order^2).
+
+        For g = f**n with f(0) a unit: g_0 = f_0^n and
+        g_m = (1/(m f_0)) * sum_{j=1..m} ((n+1) j - m) f_j g_{m-j}.
+        A series whose lowest nonzero term is f_v x^v is raised as
+        x^{nv} (f/x^v)**n, so f_v must be a unit of the coefficient ring.
+        """
         if n < 0:
             raise ValueError("negative series power; use divide")
-        result = PowerSeries.constant(self.variable, 1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        order = self.order
+        if n == 0:
+            return PowerSeries.constant(self.variable, 1, order)
+        v = next((i for i, c in enumerate(self.coeffs) if c), None)
+        if v is None or n * v > order:
+            return PowerSeries(self.variable, (), order)
+        f = self.coeffs[v:]
+        f0_inv = _inv_unit(f[0])
+        g = [f[0] ** n]
+        for m in range(1, order - n * v + 1):
+            acc = 0
+            for j in range(1, m + 1):
+                if f[j] and g[m - j]:
+                    acc = acc + ((n + 1) * j - m) * f[j] * g[m - j]
+            g.append(acc * f0_inv / m)
+        return PowerSeries(self.variable, [0] * (n * v) + g, order)
 
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """h with h * other = self to the common truncation order.
@@ -273,32 +283,3 @@ def ps_exp(a, order: int, variable: str = "x") -> PowerSeries:
         num = num * a
         coeffs.append(num / math.factorial(n))
     return PowerSeries(variable, coeffs, order)
-
-
-def ps_arith(kind: str, f: PowerSeries, g) -> PowerSeries:
-    """Dispatch {add, sub, mul, scale}; scale takes a coefficient for g."""
-    if kind == "add":
-        return f + g
-    if kind == "sub":
-        return f - g
-    if kind == "mul":
-        return f * g
-    if kind == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown series operation {kind!r}")
-
-
-def ps_div(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    return f.divide(g)
-
-
-def ps_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    return f.compose(g)
-
-
-def ps_revert(f: PowerSeries) -> PowerSeries:
-    return f.revert()
-
-
-def ps_coeff(f: PowerSeries, n: int):
-    return f.coeff(n)

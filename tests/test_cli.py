@@ -77,6 +77,20 @@ def test_family_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["t"] for r in rows] == ["1", "3", "5", "7"]
     assert [r["eta_rel"] for r in rows] == ["-3/4", "-7/4", "-11/4", "-15/4"]
+    assert [r["error"] for r in rows] == ["", "", "", ""]
+    code, out, _ = run_cli(
+        capsys, "family", "-k", "2", "-c", "1", "-s", "2",
+        "--t-min", "1", "--t-max", "5", "--t-step", "1", "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "k,c,s,t,a_value,eta_rel,A0,A1,sign_convention,error"
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["t"] for r in rows] == ["1", "2", "3", "4", "5"]
+    assert [r["eta_rel"] for r in rows] == ["-3/4", "", "-7/4", "", "-11/4"]
+    for r in rows[1::2]:
+        assert r["error"] == f"t must be odd (standing assumption), got t={r['t']}"
+        assert all(r[key] == "" for key in r if key not in ("t", "error"))
+    assert all(r["error"] == "" for r in rows[::2])
 
 
 def test_family_reports_distinct_count(capsys):
@@ -100,6 +114,13 @@ def test_a1_poly_json(capsys):
     code, out, _ = run_cli(capsys, "a1-poly", "-k", "2")
     d = json.loads(out)
     assert d == {"k": 2, "variable": "s", "coeffs": ["0/1", "-1/48", "0/1", "-5/192"]}
+
+
+def test_a1_poly_small_k_exit_1(capsys):
+    code, out, err = run_cli(capsys, "a1-poly", "-k", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: k must be >= 2, got 1\n"
 
 
 def test_find_s(capsys):

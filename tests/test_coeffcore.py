@@ -10,7 +10,6 @@ from etainv.coeffcore import (
     gcd,
     poly_eval,
     rat_from_str,
-    rat_op,
     rat_to_str,
 )
 
@@ -43,14 +42,14 @@ def test_rat_str_normalizes():
     assert rat_to_str(rat_from_str("3/-6")) == "-1/2"
 
 
-def test_rat_op_dispatch():
+def test_rational_arithmetic():
     a, b = Rational(1, 2), Rational(1, 3)
-    assert rat_op("add", a, b) == Rational(5, 6)
-    assert rat_op("sub", a, b) == Rational(1, 6)
-    assert rat_op("mul", a, b) == Rational(1, 6)
-    assert rat_op("div", a, b) == Rational(3, 2)
+    assert a + b == Rational(5, 6)
+    assert a - b == Rational(1, 6)
+    assert a * b == Rational(1, 6)
+    assert a / b == Rational(3, 2)
     with pytest.raises(ZeroDivisionError):
-        rat_op("div", a, Rational(0))
+        a / Rational(0)
 
 
 def test_gcd_sign_convention():

@@ -169,11 +169,20 @@ def test_s2_closed_form_extends():
 
 
 def test_a1_poly_evaluations():
-    for k in (2, 3, 4):
+    for k in (2, 3, 4, 5, 8):
         poly = a1_poly_in_s(k)
         assert isinstance(poly, UniPoly)
-        for s in (2, -4, 6):
-            assert poly_eval(poly, Rational(s)) == a1_direct(k, s)
+        for s in (2, -4, 6, 18):
+            value = poly_eval(poly, Rational(s))
+            assert value == a1_direct(k, s) == a1_residue(k, s), (k, s)
+
+
+def test_a1_poly_matches_series_over_q_s():
+    # oracle: the univariate generating series run over Q[s], s the generator
+    for k in range(2, 11):
+        assert a1_poly_in_s(k) == invariants._a1_series(k, UniPoly.gen("s")), k
+    with pytest.raises(InvalidParams):
+        a1_poly_in_s(1)
 
 
 def test_a1_odd_in_s():

@@ -1,7 +1,7 @@
 """Truncated power series: arithmetic, division, composition, reversion."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from etainv.coeffcore import Rational, UniPoly
 from etainv.series import (
@@ -11,11 +11,7 @@ from etainv.series import (
     OrderExceeded,
     PowerSeries,
     VariableMismatch,
-    ps_coeff,
-    ps_compose,
-    ps_div,
     ps_exp,
-    ps_revert,
 )
 
 rationals = st.fractions(
@@ -44,7 +40,7 @@ def test_exp_known_coeffs():
 def test_coeff_out_of_range():
     with pytest.raises(OrderExceeded):
         ps_exp(Rational(1), 4).coeff(5)
-    assert ps_coeff(ps_exp(Rational(1), 4), 4) == Rational(1, 24)
+    assert ps_exp(Rational(1), 4).coeff(4) == Rational(1, 24)
 
 
 def test_truncate():
@@ -77,7 +73,7 @@ def test_divide_round_trip():
     f = series8([1, Rational(1, 3), 0, 5])
     g = series8([2, -1, Rational(7, 2)])
     assert f.divide(g) * g == f
-    assert ps_div(f, g) == f.divide(g)
+    assert f.divide(g) == f * PowerSeries.constant("x", 1, 8).divide(g)
 
 
 def test_divide_nonunit_raises():
@@ -123,8 +119,8 @@ def test_revert_known_sinh():
 def test_revert_round_trip(tail):
     g = PowerSeries("x", [0, 1] + tail, 10)
     ident = PowerSeries.identity("x", 10)
-    assert ps_compose(g, ps_revert(g)) == ident
-    assert ps_compose(ps_revert(g), g) == ident
+    assert g.compose(g.revert()) == ident
+    assert g.revert().compose(g) == ident
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,6 +138,35 @@ def test_ring_axioms(xs, ys, zs):
     assert (a * b) * c == a * (b * c)
 
 
+def _repeated_mul(f, n):
+    out = PowerSeries.constant(f.variable, 1, f.order)
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.lists(rationals, min_size=0, max_size=8),
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=7),
+)
+@example(0, [], 0, 0)
+@example(0, [Rational(3)], 0, 5)
+@example(2, [Rational(-1, 2), 1], 9, 4)
+@example(3, [Rational(2)], 9, 4)
+def test_pow_matches_repeated_multiplication(zeros, tail, order, n):
+    # leading zeros exercise the x^{nv} factoring of a zero constant term
+    f = PowerSeries("x", [0] * zeros + tail, order)
+    assert f ** n == _repeated_mul(f, n)
+
+
+def test_pow_past_truncation_is_zero():
+    # x^{nv} beyond the order leaves nothing, and no coefficient list of length nv is built
+    assert PowerSeries("x", [0, 1], 4) ** 10**9 == PowerSeries("x", [], 4)
+
+
 def test_generic_coefficients_unipoly():
     # the same engine must run over Q[s] coefficients
     s = UniPoly.gen("s")
@@ -151,6 +176,10 @@ def test_generic_coefficients_unipoly():
     assert sq.coeff(2) == s * s
     inv = PowerSeries.constant("x", UniPoly.constant("s", 1), 4).divide(f)
     assert (inv * f) == PowerSeries.constant("x", UniPoly.constant("s", 1), 4)
+    g = PowerSeries("x", [UniPoly.constant("s", 2), s, 1 - s * s], 6)
+    assert g ** 5 == _repeated_mul(g, 5)
+    with pytest.raises(NonUnitConstantTerm):
+        PowerSeries("x", [0, s], 4) ** 2
 
 
 def test_immutability():
