@@ -5,7 +5,7 @@ All arithmetic is exact rational; see :mod:`etainv.coeffcore` for the backend
 selection (gmpy2 when available, stdlib fractions otherwise).
 """
 
-from .coeffcore import RATIONAL_BACKEND, Rational, UniPoly, gcd, poly_eval
+from .coeffcore import RATIONAL_BACKEND, Rational, UniPoly, convolve_into
 from .cohring import CohClass, RingSpec, coh_eval_series, coh_integrate
 from .invariants import (
     EtaReport,
@@ -29,8 +29,7 @@ __all__ = [
     "RATIONAL_BACKEND",
     "Rational",
     "UniPoly",
-    "gcd",
-    "poly_eval",
+    "convolve_into",
     "CohClass",
     "RingSpec",
     "coh_eval_series",

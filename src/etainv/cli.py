@@ -36,8 +36,9 @@ class OutputError(Exception):
 
 
 CSV_COLUMNS = ["k", "c", "s", "t", "a_value", "eta_rel", "A0", "A1", "sign_convention"]
-# family rows keep every requested t; an invalid row fills only t and error
-FAMILY_CSV_COLUMNS = CSV_COLUMNS + ["error"]
+# family rows keep every requested t; an invalid row fills only t, error and
+# distinct_count, which repeats the scan's count on every row
+FAMILY_CSV_COLUMNS = CSV_COLUMNS + ["error", "distinct_count"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +143,8 @@ def _cmd_family(args) -> int:
     if args.format == "json":
         _emit(json.dumps(d, indent=2), args.output)
     elif args.format == "csv":
-        _emit(_report_rows_csv(d["rows"], FAMILY_CSV_COLUMNS), args.output)
+        rows = [dict(row, distinct_count=d["distinct_count"]) for row in d["rows"]]
+        _emit(_report_rows_csv(rows, FAMILY_CSV_COLUMNS), args.output)
     else:
         lines = []
         for row in d["rows"]:

@@ -1,4 +1,5 @@
-"""Exact rational and univariate polynomial arithmetic.
+"""Exact rational and univariate polynomial arithmetic, and the one
+truncated convolution that every product in the package runs on.
 
 Rationals are arbitrary precision and always kept in lowest terms with a
 positive denominator.  The backend is selected at import time: gmpy2's
@@ -6,11 +7,14 @@ compiled ``mpq`` when available (much faster big-integer gcd), otherwise the
 stdlib ``fractions.Fraction``.  Set ``ETAINV_RATIONAL=fraction`` or
 ``ETAINV_RATIONAL=gmpy2`` to force a choice; see
 ``benchmarks/bench_rational_backends.py`` for a comparison.
+
+:func:`convolve_into` multiplies coefficient sequences for ``UniPoly``,
+``PowerSeries`` and ``CohClass`` alike; the coefficients may be rationals or
+``UniPoly`` values.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from fractions import Fraction
 
@@ -18,7 +22,7 @@ __all__ = [
     "Rational",
     "RATIONAL_BACKEND",
     "DivisionByZero",
-    "gcd",
+    "convolve_into",
     "rat_to_str",
     "rat_from_str",
     "UniPoly",
@@ -46,9 +50,22 @@ class DivisionByZero(ZeroDivisionError):
     """Division of a rational by zero."""
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, nonnegative; gcd(0, 0) = 0."""
-    return math.gcd(a, b)
+def convolve_into(out: list, a, b) -> list:
+    """Add the product of coefficient sequences a and b, truncated to len(out), into out.
+
+    out[m] += sum_{i+j=m} a[i]*b[j] for m < len(out); zero terms of either
+    side are skipped.  Returns out.
+    """
+    n = len(out)
+    b_terms = [(j, y) for j, y in enumerate(b[:n]) if y]
+    for i, x in enumerate(a[:n]):
+        if x:
+            limit = n - i
+            for j, y in b_terms:
+                if j >= limit:
+                    break
+                out[i + j] += x * y
+    return out
 
 
 def rat_to_str(q) -> str:
@@ -175,12 +192,7 @@ class UniPoly:
         if not self or not other:
             return UniPoly(self.variable)
         out = [Rational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(self.variable, out)
+        return UniPoly(self.variable, convolve_into(out, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -190,18 +202,6 @@ class UniPoly:
         if not scalar:
             raise DivisionByZero("polynomial division by zero scalar")
         return UniPoly(self.variable, (c / scalar for c in self.coeffs))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = UniPoly.constant(self.variable, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __call__(self, x):
         """Evaluate by Horner's rule at a rational point."""
@@ -227,8 +227,3 @@ class UniPoly:
             f"({rat_to_str(c)})*{self.variable}^{i}" for i, c in enumerate(self.coeffs) if c
         )
         return f"UniPoly({terms})"
-
-
-def poly_eval(p: UniPoly, x):
-    """Exact value of p at x (ring homomorphism Q[var] -> Q)."""
-    return p(x)

@@ -4,13 +4,18 @@ Classes are kept in the normal form p(u) + v*q(u) with deg p, deg q <= 2k-1;
 reduction by the defining relations happens eagerly in every operation, so
 equality is a syntactic check.  u and v both sit in degree 2 and the top
 nonzero degree is 4k, spanned by u^{2k-1}*v.
+
+A product builds only the terms that can survive reduction: p1*p2 up to
+u^{2k} (which folds into c*u^{2k-1}*v) and p1*q2 + q1*p2 up to u^{2k-1}*v,
+each by :func:`~etainv.coeffcore.convolve_into`.  ``**`` is the package's
+one binary exponentiation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffcore import Rational, rat_to_str
+from .coeffcore import Rational, convolve_into, rat_to_str
 from .series import PowerSeries
 
 __all__ = [
@@ -204,24 +209,11 @@ class CohClass:
             return self.scale(other)
         self._check(other)
         n = 2 * self.spec.k
-        # (p1 + v q1)(p2 + v q2) = p1 p2 + v (p1 q2 + q1 p2)   [v^2 = 0]
-        pp = [Rational(0)] * (2 * n)
-        vq = [Rational(0)] * (2 * n)
-        for i, a in enumerate(self.p):
-            if not a:
-                continue
-            for j, b in enumerate(other.p):
-                if b:
-                    pp[i + j] += a * b
-            for j, b in enumerate(other.q):
-                if b:
-                    vq[i + j] += a * b
-        for i, a in enumerate(self.q):
-            if not a:
-                continue
-            for j, b in enumerate(other.p):
-                if b:
-                    vq[i + j] += a * b
+        # (p1 + v q1)(p2 + v q2) = p1 p2 + v (p1 q2 + q1 p2)   [v^2 = 0];
+        # u^m = 0 for m > 2k and u^{2k} v = 0, so nothing past these lengths survives
+        pp = convolve_into([Rational(0)] * (n + 1), self.p, other.p)
+        vq = convolve_into([Rational(0)] * n, self.p, other.q)
+        convolve_into(vq, self.q, other.p)
         return CohClass._reduce_padded(self.spec, pp, vq)
 
     __rmul__ = __mul__

@@ -25,10 +25,11 @@ and nonvanishing statements are insensitive to this choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeffcore import Rational, UniPoly, gcd, poly_eval, rat_to_str
+from .coeffcore import Rational, UniPoly, rat_to_str
 from .cohring import CohClass, RingSpec, coh_eval_series, coh_integrate
 from .series import PowerSeries, ps_exp
 
@@ -39,7 +40,6 @@ __all__ = [
     "EtaReport",
     "ScanEntry",
     "ScanResult",
-    "chern_total_TBc",
     "ahat_Bc",
     "local_datum_integrand",
     "local_datum",
@@ -89,10 +89,10 @@ class FamilyParams:
             )
         if self.t % 2 == 0:
             raise InvalidParams(f"t must be odd (standing assumption), got t={self.t}")
-        if gcd(self.s, self.t) != 1:
+        if math.gcd(self.s, self.t) != 1:
             raise InvalidParams(
                 f"s and t must be coprime (standing assumption), got gcd({self.s},{self.t})="
-                f"{gcd(self.s, self.t)}"
+                f"{math.gcd(self.s, self.t)}"
             )
 
     @property
@@ -132,17 +132,6 @@ class EtaReport:
 # ---------------------------------------------------------------------------
 # characteristic classes
 # ---------------------------------------------------------------------------
-
-
-def chern_total_TBc(spec: RingSpec) -> CohClass:
-    """Total Chern class (1 + 2v) * ((1+u)^{2k} - c*v*(1+u)^{2k-1}) in normal form."""
-    one = CohClass.one(spec)
-    u = CohClass.u(spec)
-    v = CohClass.v(spec)
-    one_u = one + u
-    pow_2k1 = one_u ** (2 * spec.k - 1)
-    inner = pow_2k1 * one_u - v.scale(spec.c) * pow_2k1
-    return (one + v.scale(2)) * inner
 
 
 @lru_cache(maxsize=None)
@@ -187,13 +176,9 @@ def ahat_Bc(spec: RingSpec, order: int | None = None) -> CohClass:
 
 def local_datum_integrand(params: FamilyParams, order: int | None = None) -> CohClass:
     """A-hat(B_c) times 1/(e^{y/2} + e^{-y/2}) at the normal Euler class y = su + tv."""
-    return _integrand_raw(params.k, params.c, params.s, params.t, order)
-
-
-def _integrand_raw(k: int, c: int, s: int, t: int, order: int | None = None) -> CohClass:
     if order is None:
-        order = _default_order(k)
-    return _integrand_at(ahat_Bc(RingSpec(k, c), order), s, t, order)
+        order = _default_order(params.k)
+    return _integrand_at(ahat_Bc(params.spec, order), params.s, params.t, order)
 
 
 def _integrand_at(ahat: CohClass, s: int, t: int, order: int) -> CohClass:
@@ -205,12 +190,6 @@ def _integrand_at(ahat: CohClass, s: int, t: int, order: int) -> CohClass:
 def local_datum(params: FamilyParams, order: int | None = None):
     """a = + integral over the base of the four-factor product (PLUS branch)."""
     return coh_integrate(local_datum_integrand(params, order))
-
-
-def _local_datum_raw(k: int, c: int, s: int, t: int, order: int | None = None):
-    # affine-decomposition probes need t values that may share a factor with s;
-    # the integral itself is defined for any integer t
-    return coh_integrate(_integrand_raw(k, c, s, t, order))
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +256,6 @@ def relative_eta(params: FamilyParams, order: int | None = None) -> EtaReport:
 # ---------------------------------------------------------------------------
 
 
-def _half(s_val):
-    if isinstance(s_val, UniPoly):
-        return s_val / 2
-    return Rational(s_val) / 2
-
-
 def _a1_series(k: int, s_val, order: int | None = None):
     """Coefficient of u^{2k-1} in the purely univariate A1 generating series.
 
@@ -295,7 +268,7 @@ def _a1_series(k: int, s_val, order: int | None = None):
     if order is None:
         order = 2 * k + 2
     ahat = PowerSeries("u", _ahat_factor(order).coeffs, order)
-    return (ahat ** (2 * k) * _t_factor(_half(s_val), order)).coeff(2 * k - 1)
+    return (ahat ** (2 * k) * _t_factor(s_val * Rational(1, 2), order)).coeff(2 * k - 1)
 
 
 def _t_factor(half, order: int) -> PowerSeries:
@@ -330,7 +303,7 @@ def a1_residue(k: int, s: int, order: int | None = None):
     half = Rational(1) / 2
     w_of_u = ps_exp(half, order, "u") - ps_exp(-half, order, "u")
     u_of_w = w_of_u.revert()
-    sh = _half(s)
+    sh = s * Rational(1, 2)
     e_plus = ps_exp(sh, order, "u")
     e_minus = ps_exp(-sh, order, "u")
     big_s = e_plus - e_minus
@@ -378,7 +351,7 @@ def find_good_s(k: int, s_candidates) -> list[int]:
     for s in s_candidates:
         if s == 0 or s % 2 != 0:
             raise InvalidParams(f"candidate s={s} is not a nonzero even integer")
-        if poly_eval(poly, Rational(s)):
+        if poly(Rational(s)):
             out.append(s)
     return out
 
@@ -413,12 +386,14 @@ class ScanResult:
 def family_scan(k: int, c: int, s: int, t_values, order: int | None = None) -> ScanResult:
     """Per-t eta reports plus the number of distinct eta values.
 
-    Invalid t values are reported per entry and the scan continues; results
-    are assembled in the order of t_values.  A-hat(B_c) and (A0, A1) depend
-    only on (k, c, s, order), so they are built once, at the first valid t;
-    every valid row still does its own ring integral, checked against
-    A0 - A1*t.
+    A k, c or s that breaks the standing assumptions raises InvalidParams
+    before any row.  Invalid t values are reported per entry and the scan
+    continues; results are assembled in the order of t_values.  A-hat(B_c)
+    and (A0, A1) depend only on (k, c, s, order), so they are built once, at
+    the first valid t; every valid row still does its own ring integral,
+    checked against A0 - A1*t.
     """
+    FamilyParams(k, c, s, 1)  # t = 1 is always valid, so this checks k, c and s alone
     if order is None:
         order = _default_order(k)
     entries = []

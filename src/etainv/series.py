@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .coeffcore import Rational, UniPoly
+from .coeffcore import Rational, UniPoly, convolve_into
 
 __all__ = [
     "PowerSeries",
@@ -58,6 +58,13 @@ def _inv_unit(c):
     if not c:
         raise NonUnitConstantTerm("constant term is zero")
     return Rational(1) / c
+
+
+def _unit_pow(c, n: int):
+    # a unit of Q[s] is a nonzero constant, so its power is that constant's power
+    if isinstance(c, UniPoly):
+        return UniPoly.constant(c.variable, c.constant_value() ** n)
+    return c ** n
 
 
 class PowerSeries:
@@ -158,14 +165,7 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return self.scale(other)
         n = self._align(other)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        out = convolve_into([0] * (n + 1), self.coeffs, other.coeffs)
         return PowerSeries(self.variable, out, n)
 
     __rmul__ = __mul__
@@ -191,7 +191,7 @@ class PowerSeries:
             return PowerSeries(self.variable, (), order)
         f = self.coeffs[v:]
         f0_inv = _inv_unit(f[0])
-        g = [f[0] ** n]
+        g = [_unit_pow(f[0], n)]
         for m in range(1, order - n * v + 1):
             acc = 0
             for j in range(1, m + 1):

@@ -1,9 +1,10 @@
 """Built-in verification suite: re-derives the published values and internal
 cross-checks from scratch and reports one pass/fail line per criterion.
 
-The same checks back the pytest acceptance module; here they are wired into
-the CLI (`etainv verify --suite paper`) so a user can validate an install
-without a test harness.
+The same checks are the pytest acceptance module, which runs each entry of
+PAPER_SUITE as one test; here they are wired into the CLI
+(`etainv verify --suite paper`) so a user can validate an install without a
+test harness.
 """
 
 from __future__ import annotations
@@ -11,14 +12,15 @@ from __future__ import annotations
 import random
 
 from .cohring import CohClass, RingSpec
-from .coeffcore import Rational, poly_eval
+from .coeffcore import Rational
 from .invariants import (
-    _local_datum_raw,
+    FamilyParams,
     a1_direct,
     a1_poly_in_s,
     a1_residue,
     decompose_affine_in_t,
     family_scan,
+    local_datum,
     s2_closed_form,
 )
 from .series import PowerSeries, ps_exp
@@ -85,10 +87,12 @@ def _check_s2_closed_form():
 
 
 def _check_affinity():
-    vals = [_local_datum_raw(2, 1, 2, t) for t in (1, 3, 5, 7)]
+    vals = [local_datum(FamilyParams(2, 1, 2, t)) for t in (1, 3, 5, 7)]
     diffs = [vals[i] - 2 * vals[i + 1] + vals[i + 2] for i in range(2)]
     if any(diffs):
         return False, f"second differences {diffs}"
+    if vals != [Rational(3, 8), Rational(7, 8), Rational(11, 8), Rational(15, 8)]:
+        return False, f"local datum at t = 1,3,5,7: {[str(x) for x in vals]}"
     return True, "local datum affine in t over t in {1,3,5,7} at (k,c,s)=(2,1,2)"
 
 
@@ -96,22 +100,35 @@ def _check_family_distinct():
     result = family_scan(2, 1, 2, list(range(1, 50, 2)))
     if result.distinct_count != 25:
         return False, f"distinct_count = {result.distinct_count}"
+    etas = []
     for entry in result.entries:
         r = entry.report
         if r is None or r.eta_rel != -2 * r.a_value:
             return False, f"bad entry at t={entry.t}"
+        etas.append(r.eta_rel)
+    if len(set(etas)) != 25:
+        return False, f"{len(set(etas))} distinct eta values in the rows"
     return True, "25 pairwise distinct eta values, eta = -2a in every row"
+
+
+# frozen from an independent symbolic computation
+_A1_POLY_STRINGS = {
+    2: ["0/1", "-1/48", "0/1", "-5/192"],
+    3: ["0/1", "1/240", "0/1", "5/768", "0/1", "61/15360"],
+}
 
 
 def _check_a1_poly():
     for k in (2, 3):
         poly = a1_poly_in_s(k)
+        if poly.to_strings() != _A1_POLY_STRINGS[k]:
+            return False, f"k={k}: coefficients {poly.to_strings()}"
         if poly.degree() > 2 * k - 1:
             return False, f"degree {poly.degree()} > {2 * k - 1} at k={k}"
         if any(poly[i] for i in range(0, poly.degree() + 1, 2)):
             return False, f"even-degree terms present at k={k}"
         for s in (2, 4, 6):
-            if poly_eval(poly, Rational(s)) != a1_direct(k, s):
+            if poly(Rational(s)) != a1_direct(k, s):
                 return False, f"poly({s}) != a1_direct at k={k}"
     return True, "A1 polynomial odd of degree <= 2k-1, matches a1_direct on s in {2,4,6}"
 

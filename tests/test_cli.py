@@ -78,19 +78,23 @@ def test_family_csv(capsys):
     assert [r["t"] for r in rows] == ["1", "3", "5", "7"]
     assert [r["eta_rel"] for r in rows] == ["-3/4", "-7/4", "-11/4", "-15/4"]
     assert [r["error"] for r in rows] == ["", "", "", ""]
+    assert [r["distinct_count"] for r in rows] == ["4", "4", "4", "4"]
     code, out, _ = run_cli(
         capsys, "family", "-k", "2", "-c", "1", "-s", "2",
         "--t-min", "1", "--t-max", "5", "--t-step", "1", "--format", "csv",
     )
     assert code == 0
-    assert out.splitlines()[0] == "k,c,s,t,a_value,eta_rel,A0,A1,sign_convention,error"
+    assert out.splitlines()[0] == (
+        "k,c,s,t,a_value,eta_rel,A0,A1,sign_convention,error,distinct_count"
+    )
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["t"] for r in rows] == ["1", "2", "3", "4", "5"]
     assert [r["eta_rel"] for r in rows] == ["-3/4", "", "-7/4", "", "-11/4"]
     for r in rows[1::2]:
         assert r["error"] == f"t must be odd (standing assumption), got t={r['t']}"
-        assert all(r[key] == "" for key in r if key not in ("t", "error"))
+        assert all(r[key] == "" for key in r if key not in ("t", "error", "distinct_count"))
     assert all(r["error"] == "" for r in rows[::2])
+    assert [r["distinct_count"] for r in rows] == ["3"] * 5
 
 
 def test_family_reports_distinct_count(capsys):
@@ -100,6 +104,23 @@ def test_family_reports_distinct_count(capsys):
     )
     d = json.loads(out)
     assert d["distinct_count"] == 5
+
+
+@pytest.mark.parametrize("k, c, s", [(1, 1, 2), (2, 2, 2), (2, 1, 3)])
+def test_family_invalid_k_c_s_exit_1_like_compute(capsys, k, c, s):
+    code, _, compute_err = run_cli(
+        capsys, "compute", "-k", str(k), "-c", str(c), "-s", str(s), "-t", "1",
+    )
+    assert code == 1
+    assert compute_err.startswith("error: ")
+    for fmt in ("json", "csv", "text"):
+        code, out, family_err = run_cli(
+            capsys, "family", "-k", str(k), "-c", str(c), "-s", str(s),
+            "--t-min", "1", "--t-max", "5", "--format", fmt,
+        )
+        assert code == 1
+        assert out == ""
+        assert family_err == compute_err
 
 
 def test_family_empty_range_exit_1(capsys):

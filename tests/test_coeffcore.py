@@ -1,17 +1,17 @@
 """Rational backend plumbing and dense univariate polynomials."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from etainv.coeffcore import (
     RATIONAL_BACKEND,
     Rational,
     UniPoly,
-    gcd,
-    poly_eval,
+    convolve_into,
     rat_from_str,
     rat_to_str,
 )
+from etainv.invariants import FamilyParams, InvalidParams
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -53,9 +53,13 @@ def test_rational_arithmetic():
 
 
 def test_gcd_sign_convention():
-    assert gcd(-6, 4) == 2
-    assert gcd(0, 0) == 0
-    assert gcd(6, 1) == 1
+    # the coprimality check takes a nonnegative gcd, so signs of s and t do not matter
+    FamilyParams(2, 1, -2, -1)
+    FamilyParams(2, 1, 4, -3)
+    with pytest.raises(InvalidParams, match=r"got gcd\(10,-15\)=5"):
+        FamilyParams(2, 1, 10, -15)
+    with pytest.raises(InvalidParams, match=r"got gcd\(-6,-9\)=3"):
+        FamilyParams(2, 1, -6, -9)
 
 
 def test_unipoly_basics():
@@ -64,7 +68,7 @@ def test_unipoly_basics():
     assert p.degree() == 2
     assert p[0] == 1 and p[1] == -1 and p[2] == 3
     assert p(Rational(2)) == 11
-    assert poly_eval(p, Rational(1, 2)) == Rational(5, 4)
+    assert p(Rational(1, 2)) == Rational(5, 4)
 
 
 def test_unipoly_trailing_zeros_dropped():
@@ -110,6 +114,25 @@ def test_unipoly_evaluation_is_homomorphism(p, x):
 
 
 def test_unipoly_pow_and_div():
+    # powers are repeated products; UniPoly has no ** of its own
     s = UniPoly.gen("s")
-    assert (s + 1) ** 3 == s * s * s + 3 * s * s + 3 * s + 1
+    assert (s + 1) * (s + 1) * (s + 1) == s * s * s + 3 * s * s + 3 * s + 1
+    with pytest.raises(TypeError):
+        s ** 2
     assert ((s * 6) / Rational(2))[1] == 3
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(rationals, max_size=7),
+    st.lists(rationals, max_size=7),
+    st.lists(rationals, max_size=14),
+)
+def test_convolve_into_adds_truncated_product(a, b, start):
+    full = [Rational(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            full[i + j] += x * y
+    out = list(start)
+    assert convolve_into(out, a, b) is out
+    assert out == [s + f for s, f in zip(start, full + [0] * len(start))]

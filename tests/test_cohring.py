@@ -52,6 +52,28 @@ def test_reduce_overflow():
     assert raw == (CohClass.u(spec) ** 3 * CohClass.v(spec)).scale(3)
 
 
+def _chern_total(spec):
+    # (1 + 2v) * ((1+u)^{2k} - c*v*(1+u)^{2k-1}), the total Chern class of the base
+    one, u, v = CohClass.one(spec), CohClass.u(spec), CohClass.v(spec)
+    pow_2k1 = (one + u) ** (2 * spec.k - 1)
+    return (one + v.scale(2)) * (pow_2k1 * (one + u) - v.scale(spec.c) * pow_2k1)
+
+
+def test_chern_total_frozen():
+    got = _chern_total(RingSpec(2, 1))
+    assert got == CohClass(RingSpec(2, 1), [1, 4, 6, 4], [1, 5, 9, 8])
+    got3 = _chern_total(RingSpec(2, 3))
+    assert got3 == CohClass(RingSpec(2, 3), [1, 4, 6, 4], [-1, -1, 3, 8])
+
+
+def test_chern_degree2_part():
+    # degree-2 part is 2k*u + (2-c)*v
+    for k, c in ((2, 1), (2, 3), (3, 5)):
+        spec = RingSpec(k, c)
+        part = _chern_total(spec).graded_parts()[2]
+        assert part == CohClass(spec, [0, 2 * k], [2 - c])
+
+
 def test_from_uv_and_graded_parts():
     spec = RingSpec(2, 1)
     e = CohClass.from_uv(spec, 2, 3)
@@ -175,3 +197,21 @@ def test_ring_results_stay_in_normal_form(pair, frac, m, power):
     ]
     for x in results:
         _assert_normal_form(x)
+
+
+def _full_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_class_pairs())
+def test_product_is_reduced_untruncated_product(pair):
+    # (p1 + v q1)(p2 + v q2) = p1 p2 + v (p1 q2 + q1 p2), every degree kept, then reduced
+    a, b = pair
+    p = _full_product(a.p, b.p)
+    q = [x + y for x, y in zip(_full_product(a.p, b.q), _full_product(a.q, b.p))]
+    assert a * b == CohClass.reduce(a.spec, p, q)

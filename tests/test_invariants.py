@@ -4,7 +4,7 @@ import pytest
 
 from etainv import invariants
 from etainv.cohring import CohClass, InsufficientOrder, RingSpec, coh_integrate
-from etainv.coeffcore import Rational, UniPoly, poly_eval
+from etainv.coeffcore import Rational, UniPoly
 from etainv.invariants import (
     FamilyParams,
     InvalidParams,
@@ -12,7 +12,6 @@ from etainv.invariants import (
     a1_direct,
     a1_poly_in_s,
     a1_residue,
-    chern_total_TBc,
     decompose_affine_in_t,
     family_scan,
     find_good_s,
@@ -47,22 +46,7 @@ def test_negative_parameters_allowed():
     assert local_datum(FamilyParams(2, -1, 2, -1)) is not None
 
 
-# -- Chern class and integrand --------------------------------------------
-
-
-def test_chern_total_frozen():
-    got = chern_total_TBc(RingSpec(2, 1))
-    assert got == CohClass(RingSpec(2, 1), [1, 4, 6, 4], [1, 5, 9, 8])
-    got3 = chern_total_TBc(RingSpec(2, 3))
-    assert got3 == CohClass(RingSpec(2, 3), [1, 4, 6, 4], [-1, -1, 3, 8])
-
-
-def test_chern_degree2_part():
-    # degree-2 part is 2k*u + (2-c)*v
-    for k, c in ((2, 1), (2, 3), (3, 5)):
-        spec = RingSpec(k, c)
-        part = chern_total_TBc(spec).graded_parts()[2]
-        assert part == CohClass(spec, [0, 2 * k], [2 - c])
+# -- integrand ----------------------------------------------------------------
 
 
 def test_integrand_frozen_normal_form():
@@ -173,7 +157,7 @@ def test_a1_poly_evaluations():
         poly = a1_poly_in_s(k)
         assert isinstance(poly, UniPoly)
         for s in (2, -4, 6, 18):
-            value = poly_eval(poly, Rational(s))
+            value = poly(Rational(s))
             assert value == a1_direct(k, s) == a1_residue(k, s), (k, s)
 
 
@@ -210,6 +194,21 @@ def test_family_scan_counts_and_errors():
     assert mixed.distinct_count == 2
     bad = [e for e in mixed.entries if e.error is not None]
     assert len(bad) == 1 and bad[0].t == 2
+
+
+def test_family_scan_rejects_invalid_k_c_s_before_any_row(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ring work started for invalid (k, c, s)")
+
+    monkeypatch.setattr(invariants, "ahat_Bc", refuse)
+    for k, c, s, message in (
+        (1, 1, 2, "k must be >= 2"),
+        (2, 2, 2, "c must be odd"),
+        (2, 1, 3, "s must be a nonzero even integer"),
+        (2, 1, 0, "s must be a nonzero even integer"),
+    ):
+        with pytest.raises(InvalidParams, match=message):
+            family_scan(k, c, s, [1, 2, 3])
 
 
 def test_family_scan_to_dict_rows():
