@@ -6,7 +6,7 @@ selection (gmpy2 when available, stdlib fractions otherwise).
 """
 
 from .coeffcore import RATIONAL_BACKEND, Rational, UniPoly, convolve_into
-from .cohring import CohClass, RingSpec, coh_eval_series, coh_integrate
+from .cohring import CohClass, RingSpec, coh_eval_series, coh_integrate, coh_integrate_product
 from .invariants import (
     EtaReport,
     FamilyParams,
@@ -34,6 +34,7 @@ __all__ = [
     "RingSpec",
     "coh_eval_series",
     "coh_integrate",
+    "coh_integrate_product",
     "EtaReport",
     "FamilyParams",
     "a1_direct",

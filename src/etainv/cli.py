@@ -6,8 +6,9 @@ decimal renderings appear only alongside the exact values when --approx is
 given.  Output is deterministic: identical config gives byte-identical
 output.
 
-Exit codes: 0 success, 1 invalid parameters, usage or an unwritable
---output path, 2 internal consistency failure.
+Exit codes: 0 success, 1 invalid parameters, input past a work limit
+(k <= 64, 2k <= --order <= 8k+4, at most 1000 family t values), usage or an
+unwritable --output path, 2 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import io
 import json
 import sys
 
+from .cohring import MAX_K
 from .invariants import (
     AffinityViolation,
     FamilyParams,
@@ -49,12 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, need_t=False):
-        p.add_argument("-k", type=int, required=True, help="half-dimension parameter, k >= 2")
+        p.add_argument("-k", type=int, required=True, help=f"half-dimension parameter, 2 <= k <= {MAX_K}")
         p.add_argument("-c", type=int, required=True, help="twisting parameter, odd")
         p.add_argument("-s", type=int, required=True, help="Euler class u-coefficient, even nonzero")
         if need_t:
             p.add_argument("-t", type=int, required=True, help="Euler class v-coefficient, odd, coprime to s")
-        p.add_argument("--order", type=int, default=None, help="series truncation override (default 4k+2)")
+        p.add_argument("--order", type=int, default=None, help="series truncation override, 2k..8k+4 (default 4k+2)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
         p.add_argument("--approx", action="store_true", help="add decimal renderings alongside exact values")
@@ -135,7 +137,7 @@ def _cmd_compute(args) -> int:
 def _cmd_family(args) -> int:
     if args.t_step == 0 or args.t_max < args.t_min:
         raise InvalidParams("--t-min/--t-max/--t-step define an empty range")
-    ts = list(range(args.t_min, args.t_max + 1, args.t_step))
+    ts = range(args.t_min, args.t_max + 1, args.t_step)
     if not ts:
         raise InvalidParams("empty t range")
     result = family_scan(args.k, args.c, args.s, ts, args.order)

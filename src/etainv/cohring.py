@@ -9,6 +9,12 @@ A product builds only the terms that can survive reduction: p1*p2 up to
 u^{2k} (which folds into c*u^{2k-1}*v) and p1*q2 + q1*p2 up to u^{2k-1}*v,
 each by :func:`~etainv.coeffcore.convolve_into`.  ``**`` is the package's
 one binary exponentiation.
+
+Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
+evaluates f(p + v*q) as f(p) + v*q*f'(p) from the powers of the u-polynomial
+p alone, and :func:`coh_integrate_product` reads the integral of a product
+from its two factors in O(k) without forming it.  No k above MAX_K (64) is
+accepted.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .coeffcore import Rational, convolve_into, rat_to_str
 from .series import PowerSeries
 
 __all__ = [
+    "MAX_K",
     "RingSpec",
     "CohClass",
     "SpecMismatch",
@@ -26,7 +33,12 @@ __all__ = [
     "InsufficientOrder",
     "coh_eval_series",
     "coh_integrate",
+    "coh_integrate_product",
 ]
+
+
+# work limit: the largest k accepted anywhere in the package
+MAX_K = 64
 
 
 class SpecMismatch(ValueError):
@@ -51,6 +63,8 @@ class RingSpec:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
+        if self.k > MAX_K:
+            raise ValueError(f"k must be <= {MAX_K} (work limit), got {self.k}")
         if self.c % 2 == 0:
             raise ValueError(f"c must be odd, got {self.c}")
 
@@ -254,27 +268,61 @@ class CohClass:
 def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:
     """sum_n f_n * x^n for a positive-degree class x; a finite sum by nilpotency.
 
-    Requires order(f) >= 2k so the truncation cannot hide a surviving term.
+    With x = p(u) + v*q(u) and v^2 = 0, f(x) = f(p) + v*q*f'(p).  As p(0) = 0,
+    p = u*r and p^m = u^m * r^m, so only r^m is formed, to the 2k + 1 - m
+    terms that survive below u^{2k+1}; u^{2k} then folds into c*u^{2k-1}*v.
+    For a degree-2 class r is a constant and the evaluation costs O(k)
+    rational products.  Requires order(f) >= 2k so the truncation cannot
+    hide a surviving term.
     """
     if x.constant_part():
         raise NonNilpotentArgument("class has a nonzero constant part")
-    two_k = 2 * x.spec.k
-    if f.order < two_k:
+    n = 2 * x.spec.k
+    if f.order < n:
         raise InsufficientOrder(
-            f"series order {f.order} < 2k = {two_k}; higher terms would be lost"
+            f"series order {f.order} < 2k = {n}; higher terms would be lost"
         )
-    acc = CohClass.one(x.spec).scale(f.coeffs[0])
-    power = CohClass.one(x.spec)
-    for n in range(1, min(f.order, two_k) + 1):
-        power = power * x
-        if not power:
+    zero = Rational(0)
+    r = list(x.p[1:])
+    while r and not r[-1]:
+        r.pop()
+    fp = [zero] * (n + 1)  # f(p), up to u^{2k}
+    dfp = [zero] * n  # f'(p), up to u^{2k-1}
+    r_pow = [Rational(1)]  # r^(m-1) on entry to step m
+    for m in range(1, n + 1):
+        cm = f.coeffs[m]
+        if cm:
+            for i, y in enumerate(r_pow[: n + 1 - m]):
+                if y:
+                    dfp[m - 1 + i] += m * cm * y
+        r_pow = convolve_into([zero] * min(len(r_pow) + len(r) - 1, n + 1 - m), r_pow, r)
+        if not any(r_pow):
             break
-        cn = f.coeffs[n]
-        if cn:
-            acc = acc + power.scale(cn)
-    return acc
+        if cm:
+            for i, y in enumerate(r_pow):
+                if y:
+                    fp[m + i] += cm * y
+    fp[0] += f.coeffs[0]
+    vq = convolve_into([zero] * n, x.q, dfp)
+    return CohClass._reduce_padded(x.spec, fp, vq)
 
 
 def coh_integrate(a: CohClass):
     """Integration over the 4k-manifold: the coefficient of u^{2k-1}*v."""
     return a.q[2 * a.spec.k - 1]
+
+
+def coh_integrate_product(a: CohClass, b: CohClass):
+    """coh_integrate(a * b) in O(k), without forming the product.
+
+    The u^{2k-1}*v coefficient of (p1 + v q1)(p2 + v q2) is
+    [u^{2k-1}](p1 q2 + q1 p2) + c * [u^{2k}](p1 p2).
+    """
+    a._check(b)
+    n = 2 * a.spec.k
+    top = sum(
+        (a.p[i] * b.q[n - 1 - i] + a.q[i] * b.p[n - 1 - i] for i in range(n)),
+        Rational(0),
+    )
+    fold = sum((a.p[i] * b.p[n - i] for i in range(1, n)), Rational(0))
+    return top + fold * a.spec.c

@@ -11,11 +11,22 @@ one rational series T scaled by s^n: [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n.
 Tests check it against the univariate series run over Q[s] with s as the
 generator.
 
-A-hat(B_c) and the affine split (A0, A1) depend only on (k, c, s) and the
-truncation order.  A single report builds A-hat(B_c) once for its direct
-integral and its three probes t = 1, 3, 5; a family sweep builds A-hat(B_c)
-and (A0, A1) once, then does one ring integral per valid t, each still
-checked against A0 - A1*t.
+Reports take the affine split from the univariate route.  With
+F(x) = x/(2 sinh(x/2)) and G(x) = 1/(2 cosh(x/2)), both even, and v^2 = 0:
+F(2v) = 1, so A-hat(B_c) = F(u)^{2k} - (c/2k) v (F^{2k})'(u), and
+G(su + tv) = G(su) + t v G'(su) with G' = -T.  Integrating gives
+A1 = a1_poly_in_s(k)(s) and A0 = -c*s*A1/(2k), that is
+a = -A1(s) * (t + c*s/(2k)).  No ring work enters (A0, A1).  The ring
+route is each row's check: every valid t does its own ring integral of
+A-hat(B_c) * G(su + tv), read off without forming the product, and a
+mismatch with A0 - A1*t raises AffinityViolation.  A family sweep builds
+A-hat(B_c) and (A0, A1) once, at its first valid t.  decompose_affine_in_t
+keeps the ring probes t = 1, 3, 5 as the oracle that verify and the tests
+compare against.
+
+Work limits, checked before any series work: k <= MAX_K (64), a series
+order in [2k, 8k+4] for reports (default 4k+2), and at most MAX_T_VALUES
+(1000) t values per family scan.
 
 The sign convention: the integral carries an undetermined global sign coming
 from the lift of the involution to the Spin^c structure.  We always take the
@@ -30,7 +41,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coeffcore import Rational, UniPoly, rat_to_str
-from .cohring import CohClass, RingSpec, coh_eval_series, coh_integrate
+from .cohring import (
+    MAX_K,
+    CohClass,
+    InsufficientOrder,
+    RingSpec,
+    coh_eval_series,
+    coh_integrate,
+    coh_integrate_product,
+)
 from .series import PowerSeries, ps_exp
 
 __all__ = [
@@ -52,9 +71,13 @@ __all__ = [
     "find_good_s",
     "family_scan",
     "SIGN_PLUS",
+    "MAX_T_VALUES",
 ]
 
 SIGN_PLUS = "PLUS"
+
+# work limit on one family scan; k and the series order are bounded too
+MAX_T_VALUES = 1_000
 
 
 class InvalidParams(ValueError):
@@ -70,7 +93,7 @@ class FamilyParams:
     """Parameters (k, c, s, t) of one family member.
 
     Standing assumptions: k >= 2, c odd, s even and nonzero, t odd and
-    coprime to s.
+    coprime to s.  Work limit: k <= MAX_K.
     """
 
     k: int
@@ -81,6 +104,8 @@ class FamilyParams:
     def __post_init__(self):
         if self.k < 2:
             raise InvalidParams(f"k must be >= 2 (standing assumption), got k={self.k}")
+        if self.k > MAX_K:
+            raise InvalidParams(f"k must be <= {MAX_K} (work limit), got k={self.k}")
         if self.c % 2 == 0:
             raise InvalidParams(f"c must be odd (standing assumption), got c={self.c}")
         if self.s == 0 or self.s % 2 != 0:
@@ -167,9 +192,11 @@ def ahat_Bc(spec: RingSpec, order: int | None = None) -> CohClass:
     two_v = CohClass.v(spec).scale(2)
     u = CohClass.u(spec)
     u_minus_cv = CohClass.from_uv(spec, 1, -spec.c)
+    # F(u)^{2k-1} needs only u^0..u^{2k}: raise the series, then evaluate once
+    f_pow = f.truncate(2 * spec.k) ** (2 * spec.k - 1)
     return (
         coh_eval_series(f, two_v)
-        * coh_eval_series(f, u) ** (2 * spec.k - 1)
+        * coh_eval_series(f_pow, u)
         * coh_eval_series(f, u_minus_cv)
     )
 
@@ -178,13 +205,12 @@ def local_datum_integrand(params: FamilyParams, order: int | None = None) -> Coh
     """A-hat(B_c) times 1/(e^{y/2} + e^{-y/2}) at the normal Euler class y = su + tv."""
     if order is None:
         order = _default_order(params.k)
-    return _integrand_at(ahat_Bc(params.spec, order), params.s, params.t, order)
+    return ahat_Bc(params.spec, order) * _sech_factor(params.spec, params.s, params.t, order)
 
 
-def _integrand_at(ahat: CohClass, s: int, t: int, order: int) -> CohClass:
-    # ahat = ahat_Bc(spec, order), built once by the caller and shared across t
-    y = CohClass.from_uv(ahat.spec, s, t)
-    return ahat * coh_eval_series(_inv_two_cosh(order), y)
+def _sech_factor(spec: RingSpec, s: int, t: int, order: int) -> CohClass:
+    """1/(e^{y/2} + e^{-y/2}) at the normal Euler class y = su + tv."""
+    return coh_eval_series(_inv_two_cosh(order), CohClass.from_uv(spec, s, t))
 
 
 def local_datum(params: FamilyParams, order: int | None = None):
@@ -198,29 +224,54 @@ def local_datum(params: FamilyParams, order: int | None = None):
 
 
 def decompose_affine_in_t(k: int, c: int, s: int, order: int | None = None):
-    """(A0, A1) with local datum = A0 - A1*t, from probes t = 1, 3, checked at t = 5."""
+    """(A0, A1) with local datum = A0 - A1*t, from ring probes t = 1, 3, checked at t = 5.
+
+    The ring-route oracle for the univariate split that reports use.
+    """
     if order is None:
         order = _default_order(k)
-    _, A0, A1 = _t_independent(RingSpec(k, c), s, order)
-    return A0, A1
-
-
-def _datum_at(ahat: CohClass, s: int, t: int, order: int):
-    return coh_integrate(_integrand_at(ahat, s, t, order))
-
-
-def _t_independent(spec: RingSpec, s: int, order: int):
-    """(A-hat(B_c), A0, A1): the ring work shared by every t of one (k, c, s, order)."""
-    ahat = ahat_Bc(spec, order)
+    ahat = ahat_Bc(RingSpec(k, c), order)
     a1, a3, a5 = (_datum_at(ahat, s, t, order) for t in (1, 3, 5))
     A1 = (a1 - a3) / 2
     A0 = a1 + A1
     if a5 != A0 - A1 * 5:
         raise AffinityViolation(
-            f"probes t=1,3,5 not collinear for (k={spec.k}, c={spec.c}, s={s}): "
-            f"{a1}, {a3}, {a5}"
+            f"probes t=1,3,5 not collinear for (k={k}, c={c}, s={s}): {a1}, {a3}, {a5}"
         )
-    return ahat, A0, A1
+    return A0, A1
+
+
+def _datum_at(ahat: CohClass, s: int, t: int, order: int):
+    # ahat = ahat_Bc(spec, order), built once by the caller and shared across t
+    return coh_integrate_product(ahat, _sech_factor(ahat.spec, s, t, order))
+
+
+def _affine_split(k: int, c: int, s: int):
+    """(A0, A1) from the univariate identity, with no ring work.
+
+    F is even, so F(2v) = 1 and A-hat(B_c) = F^{2k} - (c/2k) v (F^{2k})';
+    integrating against G(su + tv) = G(su) + t v G'(su), with G' = -T,
+    gives A1 = a1_poly_in_s(k)(s) and A0 = -c*s*A1/(2k).
+    """
+    A1 = a1_poly_in_s(k)(Rational(s))
+    return -c * s * A1 / (2 * k), A1
+
+
+def _checked_order(k: int, order: int | None) -> int:
+    """The truncation order for reports at k, refused before any series work.
+
+    An order below 2k would lose surviving terms; the limit 8k+4, twice the
+    default, bounds the work.
+    """
+    if order is None:
+        return _default_order(k)
+    if order < 2 * k:
+        raise InsufficientOrder(
+            f"series order {order} < 2k = {2 * k}; higher terms would be lost"
+        )
+    if order > 8 * k + 4:
+        raise InvalidParams(f"series order {order} > 8k+4 = {8 * k + 4} (work limit)")
+    return order
 
 
 def _checked_report(params: FamilyParams, ahat: CohClass, A0, A1, order: int) -> EtaReport:
@@ -228,7 +279,8 @@ def _checked_report(params: FamilyParams, ahat: CohClass, A0, A1, order: int) ->
     a = _datum_at(ahat, params.s, params.t, order)
     if a != A0 - A1 * params.t:
         raise AffinityViolation(
-            f"direct local datum disagrees with affine decomposition at t={params.t}"
+            f"ring integral {a} disagrees with A0 - A1*t = {A0 - A1 * params.t} "
+            f"at (k={params.k}, c={params.c}, s={params.s}, t={params.t})"
         )
     return EtaReport(
         params=params,
@@ -243,17 +295,24 @@ def _checked_report(params: FamilyParams, ahat: CohClass, A0, A1, order: int) ->
 def relative_eta(params: FamilyParams, order: int | None = None) -> EtaReport:
     """Full report: eta_rel = -2 * local datum, plus the affine decomposition.
 
-    A-hat(B_c) is built once and shared by the direct integral at t and the
-    three affine probes.
+    (A0, A1) come from the univariate identity; the ring integral at t is
+    the independent check that A0 - A1*t is the local datum.
     """
-    if order is None:
-        order = _default_order(params.k)
-    return _checked_report(params, *_t_independent(params.spec, params.s, order), order)
+    order = _checked_order(params.k, order)
+    A0, A1 = _affine_split(params.k, params.c, params.s)
+    return _checked_report(params, ahat_Bc(params.spec, order), A0, A1, order)
 
 
 # ---------------------------------------------------------------------------
 # the degree-one coefficient A1, three ways
 # ---------------------------------------------------------------------------
+
+
+def _check_k(k: int):
+    if k < 2:
+        raise InvalidParams(f"k must be >= 2, got {k}")
+    if k > MAX_K:
+        raise InvalidParams(f"k must be <= {MAX_K} (work limit), got {k}")
 
 
 def _a1_series(k: int, s_val, order: int | None = None):
@@ -263,8 +322,7 @@ def _a1_series(k: int, s_val, order: int | None = None):
     S = e^{su/2}-e^{-su/2}, C = e^{su/2}+e^{-su/2}; s_val may be a rational
     number or the generator of Q[s].
     """
-    if k < 2:
-        raise InvalidParams(f"k must be >= 2, got {k}")
+    _check_k(k)
     if order is None:
         order = 2 * k + 2
     ahat = PowerSeries("u", _ahat_factor(order).coeffs, order)
@@ -296,8 +354,7 @@ def a1_residue(k: int, s: int, order: int | None = None):
     """
     if s == 0 or s % 2 != 0:
         raise InvalidParams(f"s must be a nonzero even integer, got s={s}")
-    if k < 2:
-        raise InvalidParams(f"k must be >= 2, got {k}")
+    _check_k(k)
     if order is None:
         order = 2 * k + 2
     half = Rational(1) / 2
@@ -319,8 +376,7 @@ def s2_closed_form(k: int):
 
     Equals (-1)^{k-1} * k / 2^{k+1} by the binomial series.
     """
-    if k < 2:
-        raise InvalidParams(f"k must be >= 2, got {k}")
+    _check_k(k)
     order = 2 * k
     base = PowerSeries("w", (1, 0, Rational(1, 2)), order)
     inv = PowerSeries.constant("w", 1, order).divide(base * base)
@@ -334,8 +390,7 @@ def a1_poly_in_s(k: int) -> UniPoly:
     T(x) = sinh(x/2)/(2cosh(x/2))^2.  T(su) has coefficients T_n s^n, so
     [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n, computed over Q.
     """
-    if k < 2:
-        raise InvalidParams(f"k must be >= 2, got {k}")
+    _check_k(k)
     top = 2 * k - 1
     f_pow = _ahat_factor(2 * k + 2).truncate(top) ** (2 * k)
     t_factor = _t_factor(Rational(1, 2), top)
@@ -386,16 +441,20 @@ class ScanResult:
 def family_scan(k: int, c: int, s: int, t_values, order: int | None = None) -> ScanResult:
     """Per-t eta reports plus the number of distinct eta values.
 
-    A k, c or s that breaks the standing assumptions raises InvalidParams
-    before any row.  Invalid t values are reported per entry and the scan
-    continues; results are assembled in the order of t_values.  A-hat(B_c)
-    and (A0, A1) depend only on (k, c, s, order), so they are built once, at
-    the first valid t; every valid row still does its own ring integral,
-    checked against A0 - A1*t.
+    A k, c or s that breaks the standing assumptions, an order outside
+    [2k, 8k+4] or more than MAX_T_VALUES t values raise before any row.
+    Invalid t values are reported per entry and the scan continues; results
+    are assembled in the order of the sequence t_values.  A-hat(B_c) and
+    (A0, A1) depend only on (k, c, s, order), so they are built once, at the
+    first valid t; every valid row still does its own ring integral, checked
+    against A0 - A1*t.
     """
     FamilyParams(k, c, s, 1)  # t = 1 is always valid, so this checks k, c and s alone
-    if order is None:
-        order = _default_order(k)
+    order = _checked_order(k, order)
+    if len(t_values) > MAX_T_VALUES:
+        raise InvalidParams(
+            f"at most {MAX_T_VALUES} t values per scan (work limit), got {len(t_values)}"
+        )
     entries = []
     seen = set()
     shared = None
@@ -406,7 +465,7 @@ def family_scan(k: int, c: int, s: int, t_values, order: int | None = None) -> S
             entries.append(ScanEntry(t=t, error=str(exc)))
             continue
         if shared is None:
-            shared = _t_independent(params.spec, s, order)
+            shared = (ahat_Bc(params.spec, order), *_affine_split(k, c, s))
         report = _checked_report(params, *shared, order)
         seen.add(report.eta_rel)
         entries.append(ScanEntry(t=t, report=report))

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from etainv import invariants
 from etainv.cli import CSV_COLUMNS, main
 
 
@@ -198,6 +199,100 @@ def test_family_order_too_small_matches_compute(capsys):
     assert code == 1
     assert out == ""
     assert family_err == compute_err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("series or ring work started before the input was checked")
+
+
+@pytest.mark.parametrize("order", ["3", "-1", "21"])
+def test_family_order_checked_before_rows(capsys, monkeypatch, order):
+    # every row of the family is invalid (t = 3 with s = 6), yet the order is refused
+    for name in ("ahat_Bc", "a1_poly_in_s", "_sech_factor", "ps_exp"):
+        monkeypatch.setattr(invariants, name, _refuse)
+    code, _, compute_err = run_cli(
+        capsys, "compute", "-k", "2", "-c", "1", "-s", "6", "-t", "1", "--order", order,
+    )
+    assert code == 1
+    assert compute_err.startswith(f"error: series order {order} ")
+    assert compute_err.count("\n") == 1
+    code, out, family_err = run_cli(
+        capsys, "family", "-k", "2", "-c", "1", "-s", "6",
+        "--t-min", "3", "--t-max", "3", "--order", order,
+    )
+    assert code == 1
+    assert out == ""
+    assert family_err == compute_err
+
+
+K_LIMIT = "error: k must be <= 64 (work limit), got "
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["compute", "-k", "65", "-c", "1", "-s", "2", "-t", "1"], K_LIMIT + "k=65\n"),
+    (["compute", "-k", "2000", "-c", "1", "-s", "2", "-t", "1"], K_LIMIT + "k=2000\n"),
+    (["family", "-k", "65", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "3"],
+     K_LIMIT + "k=65\n"),
+    (["a1-poly", "-k", "65"], K_LIMIT + "65\n"),
+    (["a1-poly", "-k", "3000"], K_LIMIT + "3000\n"),
+    (["find-s", "-k", "65", "--s-candidates", "2"], K_LIMIT + "65\n"),
+    (["cohomology", "-k", "65", "-s", "2"], K_LIMIT + "65\n"),
+    (["cohomology", "-k", "100000", "-s", "2"], K_LIMIT + "100000\n"),
+    (["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1", "--order", "21"],
+     "error: series order 21 > 8k+4 = 20 (work limit)\n"),
+    (["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1", "--order", "1000000"],
+     "error: series order 1000000 > 8k+4 = 20 (work limit)\n"),
+    (["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "2001"],
+     "error: at most 1000 t values per scan (work limit), got 1001\n"),
+    (["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "200000000",
+      "--t-step", "1"],
+     "error: at most 1000 t values per scan (work limit), got 200000000\n"),
+])
+def test_work_limits_exit_1(capsys, monkeypatch, argv, err):
+    series_work = ("ahat_Bc", "_sech_factor", "ps_exp", "_ahat_factor", "_inv_two_cosh", "_t_factor")
+    for name in series_work:
+        monkeypatch.setattr(invariants, name, _refuse)
+    assert run_cli(capsys, *argv) == (1, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "-k", "64", "-c", "1", "-s", "2", "-t", "1"],
+    ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1", "--order", "4"],
+    ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1", "--order", "20"],
+    ["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "1999"],
+    ["a1-poly", "-k", "64"],
+    ["find-s", "-k", "64", "--s-candidates", "2"],
+    ["cohomology", "-k", "64", "-s", "2"],
+])
+def test_work_limit_boundaries_accepted(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
+
+
+def _break_univariate_a1(monkeypatch):
+    a1_poly_in_s = invariants.a1_poly_in_s
+    monkeypatch.setattr(invariants, "a1_poly_in_s", lambda k: a1_poly_in_s(k) + 1)
+
+
+def _break_ring_integral(monkeypatch):
+    integral = invariants.coh_integrate_product
+    monkeypatch.setattr(invariants, "coh_integrate_product", lambda a, b: integral(a, b) + 1)
+
+
+@pytest.mark.parametrize("breaker", [_break_univariate_a1, _break_ring_integral])
+@pytest.mark.parametrize("argv", [
+    ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "3"],
+    ["family", "-k", "3", "-c", "-1", "-s", "4", "--t-min", "1", "--t-max", "9"],
+])
+def test_internal_consistency_failure_exit_2(capsys, monkeypatch, breaker, argv):
+    breaker(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal consistency failure: ring integral ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_exit_0(capsys):

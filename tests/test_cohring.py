@@ -13,6 +13,7 @@ from etainv.cohring import (
     SpecMismatch,
     coh_eval_series,
     coh_integrate,
+    coh_integrate_product,
 )
 from etainv.coeffcore import Rational
 from etainv.series import PowerSeries, ps_exp
@@ -96,6 +97,8 @@ def test_spec_mismatch():
         a + b
     with pytest.raises(SpecMismatch):
         a * b
+    with pytest.raises(SpecMismatch):
+        coh_integrate_product(a, b)
 
 
 def test_scalar_multiplication():
@@ -215,3 +218,50 @@ def test_product_is_reduced_untruncated_product(pair):
     p = _full_product(a.p, b.p)
     q = [x + y for x, y in zip(_full_product(a.p, b.q), _full_product(a.q, b.p))]
     assert a * b == CohClass.reduce(a.spec, p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_class_pairs())
+def test_integrate_product_is_integral_of_product(pair):
+    a, b = pair
+    assert coh_integrate_product(a, b) == coh_integrate(a * b)
+    assert coh_integrate_product(b, a) == coh_integrate(a * b)
+
+
+def _eval_series_by_products(f, x):
+    # the repeated-product loop that coh_eval_series replaced, kept as the reference
+    acc = CohClass.one(x.spec).scale(f.coeffs[0])
+    power = CohClass.one(x.spec)
+    for n in range(1, 2 * x.spec.k + 1):
+        power = power * x
+        if f.coeffs[n]:
+            acc = acc + power.scale(f.coeffs[n])
+    return acc
+
+
+@st.composite
+def _series_and_nilpotent_class(draw):
+    k = draw(st.integers(2, 5))
+    spec = RingSpec(k, draw(st.sampled_from((1, -1, 3, -5))))
+    # dense, sparse or degree-2 (p = a*u, q = b) classes
+    coeff = draw(st.sampled_from((_fractions, st.one_of(st.just(0), _fractions))))
+    if draw(st.booleans()):
+        x = CohClass(
+            spec,
+            [0] + draw(st.lists(coeff, min_size=2 * k - 1, max_size=2 * k - 1)),
+            draw(st.lists(coeff, min_size=2 * k, max_size=2 * k)),
+        )
+    else:
+        x = CohClass.from_uv(spec, draw(_fractions), draw(_fractions))
+    order = 2 * k + draw(st.integers(0, 3))
+    f = PowerSeries("x", draw(st.lists(coeff, min_size=order + 1, max_size=order + 1)), order)
+    return f, x
+
+
+@settings(max_examples=80, deadline=None)
+@given(_series_and_nilpotent_class())
+def test_eval_series_matches_repeated_products(case):
+    f, x = case
+    got = coh_eval_series(f, x)
+    assert got == _eval_series_by_products(f, x)
+    _assert_normal_form(got)

@@ -1,11 +1,15 @@
 """Local datum, eta reports, the three A1 paths, and family scans."""
 
+import math
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from etainv import invariants
 from etainv.cohring import CohClass, InsufficientOrder, RingSpec, coh_integrate
 from etainv.coeffcore import Rational, UniPoly
 from etainv.invariants import (
+    AffinityViolation,
     FamilyParams,
     InvalidParams,
     SIGN_PLUS,
@@ -20,6 +24,7 @@ from etainv.invariants import (
     relative_eta,
     s2_closed_form,
 )
+from etainv.zcohomology import cohomology_Mbar
 
 
 # -- parameter validation --------------------------------------------------
@@ -259,3 +264,108 @@ def test_family_scan_all_invalid_builds_no_ring_class(monkeypatch):
     result = family_scan(2, 1, 6, [2, 3, 4, 9, 15])
     assert result.distinct_count == 0
     assert all(e.report is None and e.error for e in result.entries)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("series or ring work started before the limits were checked")
+
+
+@st.composite
+def _family_members(draw):
+    k = draw(st.integers(2, 5))
+    c = 2 * draw(st.integers(-5, 4)) + 1
+    s = draw(st.sampled_from((1, -1))) * 2 * draw(st.integers(1, 9))
+    t = 2 * draw(st.integers(-9, 9)) + 1
+    assume(math.gcd(s, t) == 1)
+    order = draw(st.one_of(st.none(), st.integers(2 * k, 8 * k + 4)))
+    return FamilyParams(k, c, s, t), order
+
+
+@settings(max_examples=40, deadline=None)
+@given(_family_members())
+def test_univariate_split_matches_ring_probes(member):
+    params, order = member
+    k, c, s = params.k, params.c, params.s
+    report = relative_eta(params, order)
+    assert (report.A0, report.A1) == decompose_affine_in_t(k, c, s, order)
+    assert report.A0 == -c * s * report.A1 / (2 * k)
+    assert report.a_value == -report.A1 * (params.t + Rational(c * s, 2 * k))
+    assert report.a_value == local_datum(params, order)
+
+
+def test_every_valid_row_checks_its_ring_integral(monkeypatch):
+    datum_at = invariants._datum_at
+    t_values = [1, 3, 5, 7, 9, 11]  # s = 6 makes t = 3 and 9 invalid
+    for bad_t in (1, 5, 7, 11):
+        monkeypatch.setattr(
+            invariants,
+            "_datum_at",
+            lambda ahat, s, t, order, bad_t=bad_t: datum_at(ahat, s, t, order)
+            + (1 if t == bad_t else 0),
+        )
+        with pytest.raises(AffinityViolation, match=rf"t={bad_t}\)"):
+            family_scan(2, 1, 6, t_values)
+        with pytest.raises(AffinityViolation, match=rf"t={bad_t}\)"):
+            relative_eta(FamilyParams(2, 1, 6, bad_t))
+
+
+@pytest.mark.parametrize("order", [3, -1, 0])
+def test_order_below_2k_refused_before_series_work(monkeypatch, order):
+    message = rf"series order {order} < 2k = 4; higher terms would be lost"
+    for name in ("ahat_Bc", "a1_poly_in_s", "_sech_factor", "ps_exp"):
+        monkeypatch.setattr(invariants, name, _refuse)
+    with pytest.raises(InsufficientOrder, match=message):
+        relative_eta(FamilyParams(2, 1, 2, 1), order)
+    with pytest.raises(InsufficientOrder, match=message):
+        family_scan(2, 1, 6, [3], order)  # every row invalid
+
+
+def test_order_limit(monkeypatch):
+    params = FamilyParams(2, 1, 2, 3)
+    expected = relative_eta(params)
+    # the boundary values 2k and 8k+4 are accepted
+    assert relative_eta(params, 4) == expected
+    assert relative_eta(params, 20) == expected
+    assert family_scan(2, 1, 2, [3], 20).entries[0].report == expected
+    for name in ("ahat_Bc", "a1_poly_in_s", "_sech_factor", "ps_exp"):
+        monkeypatch.setattr(invariants, name, _refuse)
+    message = r"series order 21 > 8k\+4 = 20 \(work limit\)"
+    with pytest.raises(InvalidParams, match=message):
+        relative_eta(params, 21)
+    with pytest.raises(InvalidParams, match=message):
+        family_scan(2, 1, 2, [3], 21)
+
+
+def test_k_limit():
+    FamilyParams(64, 1, 2, 1)
+    RingSpec(64, 1)
+    assert cohomology_Mbar(64, 2)[4 * 64 + 1].free_rank == 1
+    with pytest.raises(InvalidParams, match=r"k must be <= 64 \(work limit\), got k=65"):
+        FamilyParams(65, 1, 2, 1)
+    with pytest.raises(InvalidParams, match=r"k must be <= 64 \(work limit\), got k=65"):
+        family_scan(65, 1, 2, [1])
+    for route in (
+        a1_poly_in_s,
+        lambda k: a1_direct(k, 2),
+        lambda k: a1_residue(k, 2),
+        s2_closed_form,
+        lambda k: find_good_s(k, [2]),
+    ):
+        with pytest.raises(InvalidParams, match=r"k must be <= 64 \(work limit\), got 65"):
+            route(65)
+    with pytest.raises(ValueError, match=r"k must be <= 64 \(work limit\), got 65"):
+        RingSpec(65, 1)
+    with pytest.raises(ValueError, match=r"k must be <= 64 \(work limit\), got 65"):
+        cohomology_Mbar(65, 2)
+
+
+def test_family_scan_t_count_limit(monkeypatch):
+    monkeypatch.setattr(invariants, "ahat_Bc", _refuse)
+    # 1000 even t values: accepted, every row invalid, so no ring work
+    result = family_scan(2, 1, 2, range(0, 2000, 2))
+    assert len(result.entries) == 1000 and result.distinct_count == 0
+    message = r"at most 1000 t values per scan \(work limit\), got 1001"
+    with pytest.raises(InvalidParams, match=message):
+        family_scan(2, 1, 2, range(1, 2003, 2))
+    with pytest.raises(InvalidParams, match=r"got 100000000$"):
+        family_scan(2, 1, 2, range(1, 2 * 10**8, 2))
