@@ -43,8 +43,16 @@ CSV_COLUMNS = ["k", "c", "s", "t", "a_value", "eta_rel", "A0", "A1", "sign_conve
 FAMILY_CSV_COLUMNS = CSV_COLUMNS + ["error", "distinct_count"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exiting 1 on a usage error, since exit code 2 means an internal failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="etainv",
         description="Exact relative eta-invariants for circle-bundle quotient families.",
     )
@@ -239,10 +247,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except InvalidParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OutputError) as exc:
+    except (ValueError, OutputError) as exc:  # InvalidParams is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AffinityViolation as exc:

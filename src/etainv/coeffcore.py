@@ -107,6 +107,18 @@ class UniPoly:
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _trusted(cls, variable: str, coeffs: tuple) -> "UniPoly":
+        """Wrap a tuple that is already canonical: Rational values, no trailing zero.
+
+        Arithmetic produces such tuples itself, so it skips the per-coefficient
+        checks and coercion of the public constructor.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "variable", variable)
+        object.__setattr__(obj, "coeffs", coeffs)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
@@ -154,31 +166,38 @@ class UniPoly:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            if other.variable != self.variable:
-                raise ValueError(
-                    f"variable mismatch: {self.variable!r} vs {other.variable!r}"
-                )
-            return other
-        if _is_scalar(other):
-            return UniPoly.constant(self.variable, other)
-        return None
+        """other if it is a UniPoly in the same variable; None for any other type."""
+        if not isinstance(other, UniPoly):
+            return None
+        if other.variable != self.variable:
+            raise ValueError(f"variable mismatch: {self.variable!r} vs {other.variable!r}")
+        return other
 
     def __add__(self, other):
+        if _is_scalar(other):
+            # only the constant term changes; it is the last one only for a constant
+            if not self.coeffs:
+                return UniPoly._trusted(self.variable, (Rational(other),) if other else ())
+            head = self.coeffs[0] + other
+            if len(self.coeffs) == 1 and not head:
+                return UniPoly._trusted(self.variable, ())
+            return UniPoly._trusted(self.variable, (head,) + self.coeffs[1:])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.variable, (self[i] + other[i] for i in range(n)))
+        cs = [self[i] + other[i] for i in range(n)]
+        while cs and not cs[-1]:
+            cs.pop()
+        return UniPoly._trusted(self.variable, tuple(cs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.variable, (-c for c in self.coeffs))
+        return UniPoly._trusted(self.variable, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not (_is_scalar(other) or isinstance(other, UniPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -186,13 +205,19 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if _is_scalar(other):
+            # a nonzero scalar keeps the leading coefficient nonzero
+            if not other:
+                return UniPoly._trusted(self.variable, ())
+            return UniPoly._trusted(self.variable, tuple(c * other for c in self.coeffs))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if not self or not other:
-            return UniPoly(self.variable)
+            return UniPoly._trusted(self.variable, ())
+        # Q has no zero divisors, so the leading coefficient of the product is nonzero
         out = [Rational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        return UniPoly(self.variable, convolve_into(out, self.coeffs, other.coeffs))
+        return UniPoly._trusted(self.variable, tuple(convolve_into(out, self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -201,7 +226,7 @@ class UniPoly:
             return NotImplemented
         if not scalar:
             raise DivisionByZero("polynomial division by zero scalar")
-        return UniPoly(self.variable, (c / scalar for c in self.coeffs))
+        return UniPoly._trusted(self.variable, tuple(c / scalar for c in self.coeffs))
 
     def __call__(self, x):
         """Evaluate by Horner's rule at a rational point."""

@@ -16,13 +16,16 @@ F(x) = x/(2 sinh(x/2)) and G(x) = 1/(2 cosh(x/2)), both even, and v^2 = 0:
 F(2v) = 1, so A-hat(B_c) = F(u)^{2k} - (c/2k) v (F^{2k})'(u), and
 G(su + tv) = G(su) + t v G'(su) with G' = -T.  Integrating gives
 A1 = a1_poly_in_s(k)(s) and A0 = -c*s*A1/(2k), that is
-a = -A1(s) * (t + c*s/(2k)).  No ring work enters (A0, A1).  The ring
-route is each row's check: every valid t does its own ring integral of
-A-hat(B_c) * G(su + tv), read off without forming the product, and a
-mismatch with A0 - A1*t raises AffinityViolation.  A family sweep builds
-A-hat(B_c) and (A0, A1) once, at its first valid t.  decompose_affine_in_t
-keeps the ring probes t = 1, 3, 5 as the oracle that verify and the tests
-compare against.
+a = -A1(s) * (t + c*s/(2k)).  No ring work enters (A0, A1).
+
+The ring route certifies the split once per (k, c, s, order), for every t
+at once: t is taken as the generator of Q[t], G is evaluated in the ring at
+su + tv with that symbolic v-coefficient, and the integral of A-hat(B_c)
+times it, a polynomial of degree <= 1 in t, must equal A0 - A1*t as a
+polynomial, or AffinityViolation is raised.  relative_eta and family_scan
+share this certificate; each row is then a = A0 - A1*t, with no ring work.
+decompose_affine_in_t keeps the ring probes t = 1, 3, 5 as the oracle that
+verify and the tests compare against.
 
 Work limits, checked before any series work: k <= MAX_K (64), a series
 order in [2k, 8k+4] for reports (default 4k+2), and at most MAX_T_VALUES
@@ -274,14 +277,32 @@ def _checked_order(k: int, order: int | None) -> int:
     return order
 
 
-def _checked_report(params: FamilyParams, ahat: CohClass, A0, A1, order: int) -> EtaReport:
-    """The report at params.t from its own ring integral, checked against A0 - A1*t."""
-    a = _datum_at(ahat, params.s, params.t, order)
-    if a != A0 - A1 * params.t:
+def _certified_split(spec: RingSpec, s: int, order: int):
+    """(A0, A1) from the univariate identity, certified in the ring for every t.
+
+    The v-coefficient of the Euler class su + tv is the generator t of Q[t].
+    As v^2 = 0, G(su + tv) is affine in t, and so is the ring integral of
+    A-hat(B_c) times it; that polynomial must equal A0 - A1*t.
+    """
+    A0, A1 = _affine_split(spec.k, spec.c, s)
+    n = 2 * spec.k
+    zero = Rational(0)
+    euler = CohClass._trusted(
+        spec, (zero, Rational(s)) + (zero,) * (n - 2), (UniPoly.gen("t"),) + (zero,) * (n - 1)
+    )
+    a = coh_integrate_product(ahat_Bc(spec, order), coh_eval_series(_inv_two_cosh(order), euler))
+    expected = UniPoly("t", (A0, -A1))
+    if a != expected:
         raise AffinityViolation(
-            f"ring integral {a} disagrees with A0 - A1*t = {A0 - A1 * params.t} "
-            f"at (k={params.k}, c={params.c}, s={params.s}, t={params.t})"
+            f"ring integral {a!r} disagrees with A0 - A1*t = {expected!r} "
+            f"at (k={spec.k}, c={spec.c}, s={s})"
         )
+    return A0, A1
+
+
+def _report(params: FamilyParams, A0, A1) -> EtaReport:
+    """The report at params.t from a certified split: a = A0 - A1*t."""
+    a = A0 - A1 * params.t
     return EtaReport(
         params=params,
         a_value=a,
@@ -295,12 +316,11 @@ def _checked_report(params: FamilyParams, ahat: CohClass, A0, A1, order: int) ->
 def relative_eta(params: FamilyParams, order: int | None = None) -> EtaReport:
     """Full report: eta_rel = -2 * local datum, plus the affine decomposition.
 
-    (A0, A1) come from the univariate identity; the ring integral at t is
-    the independent check that A0 - A1*t is the local datum.
+    (A0, A1) come from the univariate identity, certified once by the ring
+    integral with t symbolic, as for a family of one t.
     """
     order = _checked_order(params.k, order)
-    A0, A1 = _affine_split(params.k, params.c, params.s)
-    return _checked_report(params, ahat_Bc(params.spec, order), A0, A1, order)
+    return _report(params, *_certified_split(params.spec, params.s, order))
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +408,16 @@ def a1_poly_in_s(k: int) -> UniPoly:
 
     A1 = [u^{2k-1}] F(u)^{2k} T(su) with F(u) = u/(e^{u/2}-e^{-u/2}) and
     T(x) = sinh(x/2)/(2cosh(x/2))^2.  T(su) has coefficients T_n s^n, so
-    [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n, computed over Q.
+    [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n, computed over Q.  T = -G' with
+    G = 1/(2cosh(x/2)), so T_n = -(n+1) G_{n+1} is read from the cached
+    series that the ring certificate evaluates at the default order.
     """
     _check_k(k)
     top = 2 * k - 1
     f_pow = _ahat_factor(2 * k + 2).truncate(top) ** (2 * k)
-    t_factor = _t_factor(Rational(1, 2), top)
+    g = _inv_two_cosh(_default_order(k)).coeffs
     return UniPoly(
-        "s", (f_pow.coeffs[top - n] * t_factor.coeffs[n] for n in range(top + 1))
+        "s", (-(n + 1) * f_pow.coeffs[top - n] * g[n + 1] for n in range(top + 1))
     )
 
 
@@ -444,10 +466,10 @@ def family_scan(k: int, c: int, s: int, t_values, order: int | None = None) -> S
     A k, c or s that breaks the standing assumptions, an order outside
     [2k, 8k+4] or more than MAX_T_VALUES t values raise before any row.
     Invalid t values are reported per entry and the scan continues; results
-    are assembled in the order of the sequence t_values.  A-hat(B_c) and
-    (A0, A1) depend only on (k, c, s, order), so they are built once, at the
-    first valid t; every valid row still does its own ring integral, checked
-    against A0 - A1*t.
+    are assembled in the order of the sequence t_values.  (A0, A1) depend
+    only on (k, c, s, order): at the first valid t they are certified once,
+    for every t, by the ring integral with t symbolic, and each valid row is
+    then a = A0 - A1*t with no ring work.
     """
     FamilyParams(k, c, s, 1)  # t = 1 is always valid, so this checks k, c and s alone
     order = _checked_order(k, order)
@@ -457,16 +479,16 @@ def family_scan(k: int, c: int, s: int, t_values, order: int | None = None) -> S
         )
     entries = []
     seen = set()
-    shared = None
+    split = None
     for t in t_values:
         try:
             params = FamilyParams(k=k, c=c, s=s, t=t)
         except InvalidParams as exc:
             entries.append(ScanEntry(t=t, error=str(exc)))
             continue
-        if shared is None:
-            shared = (ahat_Bc(params.spec, order), *_affine_split(k, c, s))
-        report = _checked_report(params, *shared, order)
+        if split is None:
+            split = _certified_split(params.spec, s, order)
+        report = _report(params, *split)
         seen.add(report.eta_rel)
         entries.append(ScanEntry(t=t, report=report))
     return ScanResult(entries=tuple(entries), distinct_count=len(seen))

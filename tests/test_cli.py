@@ -304,6 +304,8 @@ def test_verify_exit_0(capsys):
 
 
 def test_missing_subcommand_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    # usage errors exit 1 like any bad input; 2 is kept for internal failures
+    for argv in ([], ["compute", "-k", "x", "-c", "1", "-s", "2", "-t", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1

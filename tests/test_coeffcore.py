@@ -113,6 +113,30 @@ def test_unipoly_evaluation_is_homomorphism(p, x):
     assert q(x) == p(x) * p(x) + p(x)
 
 
+def _canonical(p):
+    return (not p.coeffs or p.coeffs[-1] != 0) and all(
+        type(c) is Rational for c in p.coeffs
+    )
+
+
+@given(small_polys, st.one_of(rationals, st.integers(-3, 3)))
+def test_unipoly_scalar_ops_match_constant_route(p, x):
+    # scalar * and + skip the coercion to UniPoly.constant; results must not differ
+    const = UniPoly.constant("s", x)
+    for got, want in (
+        (p * x, p * const),
+        (x * p, const * p),
+        (p + x, p + const),
+        (x + p, const + p),
+        (p - x, p - const),
+        (x - p, const - p),
+    ):
+        assert got == want
+        assert _canonical(got) and _canonical(want)
+    assert (p * 0).coeffs == (0 * p).coeffs == ()
+    assert (const + (-x)).coeffs == (-x + const).coeffs == ()
+
+
 def test_unipoly_pow_and_div():
     # powers are repeated products; UniPoly has no ** of its own
     s = UniPoly.gen("s")

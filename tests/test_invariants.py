@@ -168,7 +168,7 @@ def test_a1_poly_evaluations():
 
 def test_a1_poly_matches_series_over_q_s():
     # oracle: the univariate generating series run over Q[s], s the generator
-    for k in range(2, 11):
+    for k in range(2, 25):
         assert a1_poly_in_s(k) == invariants._a1_series(k, UniPoly.gen("s")), k
     with pytest.raises(InvalidParams):
         a1_poly_in_s(1)
@@ -294,19 +294,32 @@ def test_univariate_split_matches_ring_probes(member):
 
 
 def test_every_valid_row_checks_its_ring_integral(monkeypatch):
-    datum_at = invariants._datum_at
+    # the certificate is one polynomial in t per family; a wrong t^0 or t^1
+    # coefficient alone must fail every route that publishes a row
+    integral = invariants.coh_integrate_product
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return integral(a, b)
+
+    monkeypatch.setattr(invariants, "coh_integrate_product", counted)
     t_values = [1, 3, 5, 7, 9, 11]  # s = 6 makes t = 3 and 9 invalid
-    for bad_t in (1, 5, 7, 11):
+    assert family_scan(2, 1, 6, t_values).distinct_count == 4
+    assert len(calls) == 1
+    message = (
+        r"^ring integral UniPoly\(.*\) disagrees with A0 - A1\*t = UniPoly\(.*\) "
+        r"at \(k=2, c=1, s=6\)$"
+    )
+    for delta in (Rational(1), UniPoly.gen("t")):
         monkeypatch.setattr(
-            invariants,
-            "_datum_at",
-            lambda ahat, s, t, order, bad_t=bad_t: datum_at(ahat, s, t, order)
-            + (1 if t == bad_t else 0),
+            invariants, "coh_integrate_product", lambda a, b, d=delta: integral(a, b) + d
         )
-        with pytest.raises(AffinityViolation, match=rf"t={bad_t}\)"):
+        with pytest.raises(AffinityViolation, match=message):
             family_scan(2, 1, 6, t_values)
-        with pytest.raises(AffinityViolation, match=rf"t={bad_t}\)"):
-            relative_eta(FamilyParams(2, 1, 6, bad_t))
+        for t in (1, 5, 7, 11):
+            with pytest.raises(AffinityViolation, match=message):
+                relative_eta(FamilyParams(2, 1, 6, t))
 
 
 @pytest.mark.parametrize("order", [3, -1, 0])
