@@ -7,8 +7,9 @@ given.  Output is deterministic: identical config gives byte-identical
 output.
 
 Exit codes: 0 success, 1 invalid parameters, input past a work limit
-(k <= 64, 2k <= --order <= 8k+4, at most 1000 family t values), usage or an
-unwritable --output path, 2 internal consistency failure.
+(k <= 64, at most 1000 family t values), usage or an unwritable --output
+path, 2 internal consistency failure.  Every series is truncated at u^{2k},
+past which the ring is zero, so no truncation option is offered.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-s", type=int, required=True, help="Euler class u-coefficient, even nonzero")
         if need_t:
             p.add_argument("-t", type=int, required=True, help="Euler class v-coefficient, odd, coprime to s")
-        p.add_argument("--order", type=int, default=None, help="series truncation override, 2k..8k+4 (default 4k+2)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
         p.add_argument("--approx", action="store_true", help="add decimal renderings alongside exact values")
@@ -132,7 +132,7 @@ def _report_text(d: dict) -> str:
 
 def _cmd_compute(args) -> int:
     params = FamilyParams(k=args.k, c=args.c, s=args.s, t=args.t)
-    report = relative_eta(params, args.order).to_dict(approx=args.approx)
+    report = relative_eta(params).to_dict(approx=args.approx)
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.output)
     elif args.format == "csv":
@@ -148,7 +148,7 @@ def _cmd_family(args) -> int:
     ts = range(args.t_min, args.t_max + 1, args.t_step)
     if not ts:
         raise InvalidParams("empty t range")
-    result = family_scan(args.k, args.c, args.s, ts, args.order)
+    result = family_scan(args.k, args.c, args.s, ts)
     d = result.to_dict(approx=args.approx)
     if args.format == "json":
         _emit(json.dumps(d, indent=2), args.output)

@@ -3,10 +3,11 @@ truncated convolution that every product in the package runs on.
 
 Rationals are arbitrary precision and always kept in lowest terms with a
 positive denominator.  The backend is selected at import time: gmpy2's
-compiled ``mpq`` when available (much faster big-integer gcd), otherwise the
-stdlib ``fractions.Fraction``.  Set ``ETAINV_RATIONAL=fraction`` or
-``ETAINV_RATIONAL=gmpy2`` to force a choice; see
-``benchmarks/bench_rational_backends.py`` for a comparison.
+compiled ``mpq`` when available, otherwise the stdlib ``fractions.Fraction``.
+Results are identical either way.  gmpy2's speed-up on this package has not
+been measured; ``benchmarks/bench_rational_backends.py`` compares the two
+where both are installed.  Set ``ETAINV_RATIONAL=fraction`` or
+``ETAINV_RATIONAL=gmpy2`` to force a choice.
 
 :func:`convolve_into` multiplies coefficient sequences for ``UniPoly``,
 ``PowerSeries`` and ``CohClass`` alike; the coefficients may be rationals or

@@ -18,8 +18,8 @@ G(su + tv) = G(su) + t v G'(su) with G' = -T.  Integrating gives
 A1 = a1_poly_in_s(k)(s) and A0 = -c*s*A1/(2k), that is
 a = -A1(s) * (t + c*s/(2k)).  No ring work enters (A0, A1).
 
-The ring route certifies the split once per (k, c, s, order), for every t
-at once: t is taken as the generator of Q[t], G is evaluated in the ring at
+The ring route certifies the split once per (k, c, s), for every t at once:
+t is taken as the generator of Q[t], G is evaluated in the ring at
 su + tv with that symbolic v-coefficient, and the integral of A-hat(B_c)
 times it, a polynomial of degree <= 1 in t, must equal A0 - A1*t as a
 polynomial, or AffinityViolation is raised.  relative_eta and family_scan
@@ -27,9 +27,13 @@ share this certificate; each row is then a = A0 - A1*t, with no ring work.
 decompose_affine_in_t keeps the ring probes t = 1, 3, 5 as the oracle that
 verify and the tests compare against.
 
-Work limits, checked before any series work: k <= MAX_K (64), a series
-order in [2k, 8k+4] for reports (default 4k+2), and at most MAX_T_VALUES
-(1000) t values per family scan.
+Every series on the report path is truncated at u^{2k}: the ring has top
+class u^{2k-1}v in degree 4k and u^m = 0 there for m > 2k, so no higher
+coefficient can change a, eta_rel, (A0, A1) or A1(s).  Production code reads
+one cache entry per k from each of _ahat_factor and _inv_two_cosh.
+
+Work limits, checked before any series work: k <= MAX_K (64) and at most
+MAX_T_VALUES (1000) t values per family scan.
 
 The sign convention: the integral carries an undetermined global sign coming
 from the lift of the involution to the Spin^c structure.  We always take the
@@ -47,7 +51,6 @@ from .coeffcore import Rational, UniPoly, rat_to_str
 from .cohring import (
     MAX_K,
     CohClass,
-    InsufficientOrder,
     RingSpec,
     coh_eval_series,
     coh_integrate,
@@ -79,7 +82,7 @@ __all__ = [
 
 SIGN_PLUS = "PLUS"
 
-# work limit on one family scan; k and the series order are bounded too
+# work limit on one family scan; k is bounded too
 MAX_T_VALUES = 1_000
 
 
@@ -178,25 +181,18 @@ def _inv_two_cosh(order: int) -> PowerSeries:
     return PowerSeries.constant("x", 1, order).divide(denom)
 
 
-def _default_order(k: int) -> int:
-    # top degree of the ring is 4k; one even step of headroom
-    return 4 * k + 2
-
-
-def ahat_Bc(spec: RingSpec, order: int | None = None) -> CohClass:
+def ahat_Bc(spec: RingSpec) -> CohClass:
     """The A-hat class of the base, via the Chern-root factorization.
 
     The stable splitting has formal roots 2v, u with multiplicity 2k-1, and
     u - c*v; each contributes one factor x/(e^{x/2}-e^{-x/2}).
     """
-    if order is None:
-        order = _default_order(spec.k)
-    f = _ahat_factor(order)
+    f = _ahat_factor(2 * spec.k)
     two_v = CohClass.v(spec).scale(2)
     u = CohClass.u(spec)
     u_minus_cv = CohClass.from_uv(spec, 1, -spec.c)
     # F(u)^{2k-1} needs only u^0..u^{2k}: raise the series, then evaluate once
-    f_pow = f.truncate(2 * spec.k) ** (2 * spec.k - 1)
+    f_pow = f ** (2 * spec.k - 1)
     return (
         coh_eval_series(f, two_v)
         * coh_eval_series(f_pow, u)
@@ -204,21 +200,19 @@ def ahat_Bc(spec: RingSpec, order: int | None = None) -> CohClass:
     )
 
 
-def local_datum_integrand(params: FamilyParams, order: int | None = None) -> CohClass:
+def local_datum_integrand(params: FamilyParams) -> CohClass:
     """A-hat(B_c) times 1/(e^{y/2} + e^{-y/2}) at the normal Euler class y = su + tv."""
-    if order is None:
-        order = _default_order(params.k)
-    return ahat_Bc(params.spec, order) * _sech_factor(params.spec, params.s, params.t, order)
+    return ahat_Bc(params.spec) * _sech_factor(params.spec, params.s, params.t)
 
 
-def _sech_factor(spec: RingSpec, s: int, t: int, order: int) -> CohClass:
+def _sech_factor(spec: RingSpec, s: int, t: int) -> CohClass:
     """1/(e^{y/2} + e^{-y/2}) at the normal Euler class y = su + tv."""
-    return coh_eval_series(_inv_two_cosh(order), CohClass.from_uv(spec, s, t))
+    return coh_eval_series(_inv_two_cosh(2 * spec.k), CohClass.from_uv(spec, s, t))
 
 
-def local_datum(params: FamilyParams, order: int | None = None):
+def local_datum(params: FamilyParams):
     """a = + integral over the base of the four-factor product (PLUS branch)."""
-    return coh_integrate(local_datum_integrand(params, order))
+    return coh_integrate(local_datum_integrand(params))
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +220,13 @@ def local_datum(params: FamilyParams, order: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def decompose_affine_in_t(k: int, c: int, s: int, order: int | None = None):
+def decompose_affine_in_t(k: int, c: int, s: int):
     """(A0, A1) with local datum = A0 - A1*t, from ring probes t = 1, 3, checked at t = 5.
 
     The ring-route oracle for the univariate split that reports use.
     """
-    if order is None:
-        order = _default_order(k)
-    ahat = ahat_Bc(RingSpec(k, c), order)
-    a1, a3, a5 = (_datum_at(ahat, s, t, order) for t in (1, 3, 5))
+    ahat = ahat_Bc(RingSpec(k, c))
+    a1, a3, a5 = (_datum_at(ahat, s, t) for t in (1, 3, 5))
     A1 = (a1 - a3) / 2
     A0 = a1 + A1
     if a5 != A0 - A1 * 5:
@@ -244,9 +236,9 @@ def decompose_affine_in_t(k: int, c: int, s: int, order: int | None = None):
     return A0, A1
 
 
-def _datum_at(ahat: CohClass, s: int, t: int, order: int):
-    # ahat = ahat_Bc(spec, order), built once by the caller and shared across t
-    return coh_integrate_product(ahat, _sech_factor(ahat.spec, s, t, order))
+def _datum_at(ahat: CohClass, s: int, t: int):
+    # ahat = ahat_Bc(spec), built once by the caller and shared across t
+    return coh_integrate_product(ahat, _sech_factor(ahat.spec, s, t))
 
 
 def _affine_split(k: int, c: int, s: int):
@@ -260,24 +252,7 @@ def _affine_split(k: int, c: int, s: int):
     return -c * s * A1 / (2 * k), A1
 
 
-def _checked_order(k: int, order: int | None) -> int:
-    """The truncation order for reports at k, refused before any series work.
-
-    An order below 2k would lose surviving terms; the limit 8k+4, twice the
-    default, bounds the work.
-    """
-    if order is None:
-        return _default_order(k)
-    if order < 2 * k:
-        raise InsufficientOrder(
-            f"series order {order} < 2k = {2 * k}; higher terms would be lost"
-        )
-    if order > 8 * k + 4:
-        raise InvalidParams(f"series order {order} > 8k+4 = {8 * k + 4} (work limit)")
-    return order
-
-
-def _certified_split(spec: RingSpec, s: int, order: int):
+def _certified_split(spec: RingSpec, s: int):
     """(A0, A1) from the univariate identity, certified in the ring for every t.
 
     The v-coefficient of the Euler class su + tv is the generator t of Q[t].
@@ -290,7 +265,7 @@ def _certified_split(spec: RingSpec, s: int, order: int):
     euler = CohClass._trusted(
         spec, (zero, Rational(s)) + (zero,) * (n - 2), (UniPoly.gen("t"),) + (zero,) * (n - 1)
     )
-    a = coh_integrate_product(ahat_Bc(spec, order), coh_eval_series(_inv_two_cosh(order), euler))
+    a = coh_integrate_product(ahat_Bc(spec), coh_eval_series(_inv_two_cosh(n), euler))
     expected = UniPoly("t", (A0, -A1))
     if a != expected:
         raise AffinityViolation(
@@ -313,14 +288,13 @@ def _report(params: FamilyParams, A0, A1) -> EtaReport:
     )
 
 
-def relative_eta(params: FamilyParams, order: int | None = None) -> EtaReport:
+def relative_eta(params: FamilyParams) -> EtaReport:
     """Full report: eta_rel = -2 * local datum, plus the affine decomposition.
 
     (A0, A1) come from the univariate identity, certified once by the ring
     integral with t symbolic, as for a family of one t.
     """
-    order = _checked_order(params.k, order)
-    return _report(params, *_certified_split(params.spec, params.s, order))
+    return _report(params, *_certified_split(params.spec, params.s))
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +309,16 @@ def _check_k(k: int):
         raise InvalidParams(f"k must be <= {MAX_K} (work limit), got {k}")
 
 
-def _a1_series(k: int, s_val, order: int | None = None):
+def _a1_series(k: int, s_val):
     """Coefficient of u^{2k-1} in the purely univariate A1 generating series.
 
     The series is (u/(e^{u/2}-e^{-u/2}))^{2k} * S/(2*C^2) with
     S = e^{su/2}-e^{-su/2}, C = e^{su/2}+e^{-su/2}; s_val may be a rational
-    number or the generator of Q[s].
+    number or the generator of Q[s].  Truncated at 2k+2, not at the 2k of
+    the report path, so it reads its own _ahat_factor entry.
     """
     _check_k(k)
-    if order is None:
-        order = 2 * k + 2
+    order = 2 * k + 2
     ahat = PowerSeries("u", _ahat_factor(order).coeffs, order)
     return (ahat ** (2 * k) * _t_factor(s_val * Rational(1, 2), order)).coeff(2 * k - 1)
 
@@ -358,14 +332,14 @@ def _t_factor(half, order: int) -> PowerSeries:
     return sinh2.divide((cosh2 * cosh2).scale(2))
 
 
-def a1_direct(k: int, s: int, order: int | None = None):
+def a1_direct(k: int, s: int):
     """A1 as the u^{2k-1} coefficient of the univariate generating series."""
     if s == 0 or s % 2 != 0:
         raise InvalidParams(f"s must be a nonzero even integer, got s={s}")
-    return _a1_series(k, s, order)
+    return _a1_series(k, s)
 
 
-def a1_residue(k: int, s: int, order: int | None = None):
+def a1_residue(k: int, s: int):
     """A1 as a residue after the substitution w = 2*sinh(u/2).
 
     Computes the compositional inverse u(w), substitutes into
@@ -375,8 +349,7 @@ def a1_residue(k: int, s: int, order: int | None = None):
     if s == 0 or s % 2 != 0:
         raise InvalidParams(f"s must be a nonzero even integer, got s={s}")
     _check_k(k)
-    if order is None:
-        order = 2 * k + 2
+    order = 2 * k + 2
     half = Rational(1) / 2
     w_of_u = ps_exp(half, order, "u") - ps_exp(-half, order, "u")
     u_of_w = w_of_u.revert()
@@ -410,12 +383,13 @@ def a1_poly_in_s(k: int) -> UniPoly:
     T(x) = sinh(x/2)/(2cosh(x/2))^2.  T(su) has coefficients T_n s^n, so
     [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n, computed over Q.  T = -G' with
     G = 1/(2cosh(x/2)), so T_n = -(n+1) G_{n+1} is read from the cached
-    series that the ring certificate evaluates at the default order.
+    series that the ring certificate evaluates; F and G are the same cache
+    entries, truncated at u^{2k}, that reports read.
     """
     _check_k(k)
     top = 2 * k - 1
-    f_pow = _ahat_factor(2 * k + 2).truncate(top) ** (2 * k)
-    g = _inv_two_cosh(_default_order(k)).coeffs
+    f_pow = _ahat_factor(2 * k).truncate(top) ** (2 * k)
+    g = _inv_two_cosh(2 * k).coeffs
     return UniPoly(
         "s", (-(n + 1) * f_pow.coeffs[top - n] * g[n + 1] for n in range(top + 1))
     )
@@ -460,19 +434,18 @@ class ScanResult:
         return {"rows": rows, "distinct_count": self.distinct_count}
 
 
-def family_scan(k: int, c: int, s: int, t_values, order: int | None = None) -> ScanResult:
+def family_scan(k: int, c: int, s: int, t_values) -> ScanResult:
     """Per-t eta reports plus the number of distinct eta values.
 
-    A k, c or s that breaks the standing assumptions, an order outside
-    [2k, 8k+4] or more than MAX_T_VALUES t values raise before any row.
-    Invalid t values are reported per entry and the scan continues; results
-    are assembled in the order of the sequence t_values.  (A0, A1) depend
-    only on (k, c, s, order): at the first valid t they are certified once,
-    for every t, by the ring integral with t symbolic, and each valid row is
-    then a = A0 - A1*t with no ring work.
+    A k, c or s that breaks the standing assumptions, or more than
+    MAX_T_VALUES t values, raise before any row.  Invalid t values are
+    reported per entry and the scan continues; results are assembled in the
+    order of the sequence t_values.  (A0, A1) depend only on (k, c, s): at
+    the first valid t they are certified once, for every t, by the ring
+    integral with t symbolic, and each valid row is then a = A0 - A1*t with
+    no ring work.
     """
     FamilyParams(k, c, s, 1)  # t = 1 is always valid, so this checks k, c and s alone
-    order = _checked_order(k, order)
     if len(t_values) > MAX_T_VALUES:
         raise InvalidParams(
             f"at most {MAX_T_VALUES} t values per scan (work limit), got {len(t_values)}"
@@ -487,7 +460,7 @@ def family_scan(k: int, c: int, s: int, t_values, order: int | None = None) -> S
             entries.append(ScanEntry(t=t, error=str(exc)))
             continue
         if split is None:
-            split = _certified_split(params.spec, s, order)
+            split = _certified_split(params.spec, s)
         report = _report(params, *split)
         seen.add(report.eta_rel)
         entries.append(ScanEntry(t=t, report=report))

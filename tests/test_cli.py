@@ -186,43 +186,29 @@ def test_output_unwritable_path_exit_1(capsys, tmp_path):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
-def test_family_order_too_small_matches_compute(capsys):
-    code, _, compute_err = run_cli(
-        capsys, "compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1", "--order", "3",
-    )
-    assert code == 1
-    assert compute_err == "error: series order 3 < 2k = 4; higher terms would be lost\n"
-    code, out, family_err = run_cli(
-        capsys, "family", "-k", "2", "-c", "1", "-s", "2",
-        "--t-min", "1", "--t-max", "9", "--order", "3",
-    )
-    assert code == 1
-    assert out == ""
-    assert family_err == compute_err
-
-
 def _refuse(*args, **kwargs):
     raise AssertionError("series or ring work started before the input was checked")
 
 
-@pytest.mark.parametrize("order", ["3", "-1", "21"])
-def test_family_order_checked_before_rows(capsys, monkeypatch, order):
-    # every row of the family is invalid (t = 3 with s = 6), yet the order is refused
-    for name in ("ahat_Bc", "a1_poly_in_s", "_sech_factor", "ps_exp"):
+SERIES_WORK = ("ahat_Bc", "_sech_factor", "ps_exp", "_ahat_factor", "_inv_two_cosh", "_t_factor")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1"],
+    ["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "9"],
+])
+def test_order_option_refused(capsys, monkeypatch, argv):
+    # every series is truncated at u^{2k}, past which the ring is zero, so
+    # there is no truncation option to pass
+    for name in SERIES_WORK:
         monkeypatch.setattr(invariants, name, _refuse)
-    code, _, compute_err = run_cli(
-        capsys, "compute", "-k", "2", "-c", "1", "-s", "6", "-t", "1", "--order", order,
-    )
-    assert code == 1
-    assert compute_err.startswith(f"error: series order {order} ")
-    assert compute_err.count("\n") == 1
-    code, out, family_err = run_cli(
-        capsys, "family", "-k", "2", "-c", "1", "-s", "6",
-        "--t-min", "3", "--t-max", "3", "--order", order,
-    )
-    assert code == 1
-    assert out == ""
-    assert family_err == compute_err
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--order", "20"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.endswith("\netainv: error: unrecognized arguments: --order 20\n")
+    assert "Traceback" not in captured.err
 
 
 K_LIMIT = "error: k must be <= 64 (work limit), got "
@@ -238,10 +224,13 @@ K_LIMIT = "error: k must be <= 64 (work limit), got "
     (["find-s", "-k", "65", "--s-candidates", "2"], K_LIMIT + "65\n"),
     (["cohomology", "-k", "65", "-s", "2"], K_LIMIT + "65\n"),
     (["cohomology", "-k", "100000", "-s", "2"], K_LIMIT + "100000\n"),
-    (["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1", "--order", "21"],
-     "error: series order 21 > 8k+4 = 20 (work limit)\n"),
-    (["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1", "--order", "1000000"],
-     "error: series order 1000000 > 8k+4 = 20 (work limit)\n"),
+    # past both limits, k is reported first
+    (["family", "-k", "65", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "2001"],
+     K_LIMIT + "k=65\n"),
+    # the t limit counts every requested t, invalid ones included
+    (["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "0", "--t-max", "1000",
+      "--t-step", "1"],
+     "error: at most 1000 t values per scan (work limit), got 1001\n"),
     (["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "2001"],
      "error: at most 1000 t values per scan (work limit), got 1001\n"),
     (["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "200000000",
@@ -249,16 +238,18 @@ K_LIMIT = "error: k must be <= 64 (work limit), got "
      "error: at most 1000 t values per scan (work limit), got 200000000\n"),
 ])
 def test_work_limits_exit_1(capsys, monkeypatch, argv, err):
-    series_work = ("ahat_Bc", "_sech_factor", "ps_exp", "_ahat_factor", "_inv_two_cosh", "_t_factor")
-    for name in series_work:
+    for name in SERIES_WORK:
         monkeypatch.setattr(invariants, name, _refuse)
     assert run_cli(capsys, *argv) == (1, "", err)
 
 
 @pytest.mark.parametrize("argv", [
     ["compute", "-k", "64", "-c", "1", "-s", "2", "-t", "1"],
-    ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1", "--order", "4"],
-    ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "1", "--order", "20"],
+    # k and t limits at once: the largest accepted family request
+    ["family", "-k", "64", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "1999"],
+    # 1000 t values, half of them invalid rows
+    ["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "1000",
+     "--t-step", "1"],
     ["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "1999"],
     ["a1-poly", "-k", "64"],
     ["find-s", "-k", "64", "--s-candidates", "2"],

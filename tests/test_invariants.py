@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from etainv import invariants
-from etainv.cohring import CohClass, InsufficientOrder, RingSpec, coh_integrate
+from etainv.cohring import CohClass, RingSpec, coh_eval_series, coh_integrate
 from etainv.coeffcore import Rational, UniPoly
 from etainv.invariants import (
     AffinityViolation,
@@ -115,14 +115,39 @@ def test_eta_rational_in_general():
     assert report.eta_rel == -2 * report.a_value
 
 
-def test_order_override_too_small():
-    with pytest.raises(InsufficientOrder):
-        local_datum(FamilyParams(2, 1, 2, 1), order=3)
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 16])
+def test_reports_truncated_at_2k_are_exact(k):
+    # the integrand built here from series at 8k+4, four times the 2k that
+    # reports use, and with A-hat(B_c) as ring powers rather than the series
+    # power inside ahat_Bc, must give the same datum and split
+    ahat_series = invariants._ahat_factor(8 * k + 4)
+    sech_series = invariants._inv_two_cosh(8 * k + 4)
+
+    def f(x):
+        return coh_eval_series(ahat_series, x)
+
+    for c, s, t in ((1, 2, 3), (-3, 4, -5), (5, -6, 7)):
+        params = FamilyParams(k, c, s, t)
+        spec = params.spec
+        ahat = (
+            f(CohClass.v(spec).scale(2))
+            * f(CohClass.u(spec)) ** (2 * k - 1)
+            * f(CohClass.from_uv(spec, 1, -c))
+        )
+        a = coh_integrate(ahat * coh_eval_series(sech_series, CohClass.from_uv(spec, s, t)))
+        report = relative_eta(params)
+        assert report.a_value == a
+        assert local_datum(params) == a
+        assert decompose_affine_in_t(k, c, s) == (report.A0, report.A1)
 
 
-def test_order_override_larger_is_stable():
-    base = local_datum(FamilyParams(2, 1, 2, 1))
-    assert local_datum(FamilyParams(2, 1, 2, 1), order=20) == base
+def test_reports_and_a1_poly_share_one_series_cache_entry():
+    for cache in (invariants._ahat_factor, invariants._inv_two_cosh):
+        cache.cache_clear()
+    relative_eta(FamilyParams(6, 1, 2, 3))
+    a1_poly_in_s(6)
+    assert invariants._ahat_factor.cache_info().misses == 1
+    assert invariants._inv_two_cosh.cache_info().misses == 1
 
 
 # -- A1 paths ----------------------------------------------------------------
@@ -229,26 +254,24 @@ def test_family_scan_large_all_distinct():
     assert result.distinct_count == len(result.entries) == 20
 
 
-def _single_report_or_error(k, c, s, t, order):
+def _single_report_or_error(k, c, s, t):
     try:
         params = FamilyParams(k, c, s, t)
     except InvalidParams as exc:
         return None, str(exc)
-    return relative_eta(params, order), None
+    return relative_eta(params), None
 
 
-@pytest.mark.parametrize("order_pad", [None, 4])
-def test_family_scan_matches_single_reports(order_pad):
+def test_family_scan_matches_single_reports():
     # s = 6 and 18 make every t divisible by 3 an invalid row
     t_values = list(range(-5, 10))
     for k in (2, 3):
-        order = None if order_pad is None else 4 * k + 2 + order_pad
         for c in (1, -3):
             for s in (2, -4, 6, 18):
-                result = family_scan(k, c, s, t_values, order)
+                result = family_scan(k, c, s, t_values)
                 assert [e.t for e in result.entries] == t_values
                 for entry in result.entries:
-                    report, error = _single_report_or_error(k, c, s, entry.t, order)
+                    report, error = _single_report_or_error(k, c, s, entry.t)
                     assert entry.error == error, (k, c, s, entry.t)
                     assert entry.report == report, (k, c, s, entry.t)
                 valid = [e.report for e in result.entries if e.report is not None]
@@ -277,20 +300,18 @@ def _family_members(draw):
     s = draw(st.sampled_from((1, -1))) * 2 * draw(st.integers(1, 9))
     t = 2 * draw(st.integers(-9, 9)) + 1
     assume(math.gcd(s, t) == 1)
-    order = draw(st.one_of(st.none(), st.integers(2 * k, 8 * k + 4)))
-    return FamilyParams(k, c, s, t), order
+    return FamilyParams(k, c, s, t)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_family_members())
-def test_univariate_split_matches_ring_probes(member):
-    params, order = member
+def test_univariate_split_matches_ring_probes(params):
     k, c, s = params.k, params.c, params.s
-    report = relative_eta(params, order)
-    assert (report.A0, report.A1) == decompose_affine_in_t(k, c, s, order)
+    report = relative_eta(params)
+    assert (report.A0, report.A1) == decompose_affine_in_t(k, c, s)
     assert report.A0 == -c * s * report.A1 / (2 * k)
     assert report.a_value == -report.A1 * (params.t + Rational(c * s, 2 * k))
-    assert report.a_value == local_datum(params, order)
+    assert report.a_value == local_datum(params)
 
 
 def test_every_valid_row_checks_its_ring_integral(monkeypatch):
@@ -320,33 +341,6 @@ def test_every_valid_row_checks_its_ring_integral(monkeypatch):
         for t in (1, 5, 7, 11):
             with pytest.raises(AffinityViolation, match=message):
                 relative_eta(FamilyParams(2, 1, 6, t))
-
-
-@pytest.mark.parametrize("order", [3, -1, 0])
-def test_order_below_2k_refused_before_series_work(monkeypatch, order):
-    message = rf"series order {order} < 2k = 4; higher terms would be lost"
-    for name in ("ahat_Bc", "a1_poly_in_s", "_sech_factor", "ps_exp"):
-        monkeypatch.setattr(invariants, name, _refuse)
-    with pytest.raises(InsufficientOrder, match=message):
-        relative_eta(FamilyParams(2, 1, 2, 1), order)
-    with pytest.raises(InsufficientOrder, match=message):
-        family_scan(2, 1, 6, [3], order)  # every row invalid
-
-
-def test_order_limit(monkeypatch):
-    params = FamilyParams(2, 1, 2, 3)
-    expected = relative_eta(params)
-    # the boundary values 2k and 8k+4 are accepted
-    assert relative_eta(params, 4) == expected
-    assert relative_eta(params, 20) == expected
-    assert family_scan(2, 1, 2, [3], 20).entries[0].report == expected
-    for name in ("ahat_Bc", "a1_poly_in_s", "_sech_factor", "ps_exp"):
-        monkeypatch.setattr(invariants, name, _refuse)
-    message = r"series order 21 > 8k\+4 = 20 \(work limit\)"
-    with pytest.raises(InvalidParams, match=message):
-        relative_eta(params, 21)
-    with pytest.raises(InvalidParams, match=message):
-        family_scan(2, 1, 2, [3], 21)
 
 
 def test_k_limit():
