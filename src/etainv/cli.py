@@ -7,8 +7,10 @@ given.  Output is deterministic: identical config gives byte-identical
 output.
 
 Exit codes: 0 success, 1 invalid parameters, input past a work limit
-(k <= 64, at most 1000 family t values), usage or an unwritable --output
-path, 2 internal consistency failure.  Every series is truncated at u^{2k},
+(k <= 64, |c|, |s| and |t| < 2^63, at most 1000 family t values or find-s
+candidates), usage, an unwritable --output path or a bad ETAINV_RATIONAL
+(refused with one error: line when the package is imported), 2 internal
+consistency failure.  Every series is truncated at u^{2k},
 past which the ring is zero, so no truncation option is offered.
 """
 
@@ -26,6 +28,7 @@ from .invariants import (
     FamilyParams,
     InvalidParams,
     a1_poly_in_s,
+    check_param_bound,
     family_scan,
     find_good_s,
     relative_eta,
@@ -206,6 +209,7 @@ def _cmd_find_s(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
+    check_param_bound("s", args.s)
     table = cohomology_Mbar(args.k, args.s)
     d = {
         "k": args.k,

@@ -7,17 +7,24 @@ compiled ``mpq`` when available, otherwise the stdlib ``fractions.Fraction``.
 Results are identical either way.  gmpy2's speed-up on this package has not
 been measured; ``benchmarks/bench_rational_backends.py`` compares the two
 where both are installed.  Set ``ETAINV_RATIONAL=fraction`` or
-``ETAINV_RATIONAL=gmpy2`` to force a choice.
+``ETAINV_RATIONAL=gmpy2`` to force a choice; any other value, or ``gmpy2``
+when gmpy2 cannot be imported, stops the process at import with one
+``error:`` line on stderr and exit code 1.
 
 :func:`convolve_into` multiplies coefficient sequences for ``UniPoly``,
 ``PowerSeries`` and ``CohClass`` alike; the coefficients may be rationals or
-``UniPoly`` values.
+``UniPoly`` values.  Over Q it clears each operand's denominators once, with
+the lcm of that operand's denominators, accumulates the products of the
+integer numerators, and builds one rational per nonzero output coefficient,
+so a product costs one gcd per coefficient rather than one per term.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 __all__ = [
     "Rational",
@@ -31,16 +38,22 @@ __all__ = [
 
 
 def _pick_backend():
+    # a bad choice leaves the package unusable, so it ends the process with one
+    # "error:" line and exit code 1 (SystemExit), not an import-time traceback
     choice = os.environ.get("ETAINV_RATIONAL", "auto").lower()
     if choice not in ("auto", "gmpy2", "fraction"):
-        raise ValueError(f"ETAINV_RATIONAL must be 'gmpy2' or 'fraction', got {choice!r}")
+        raise SystemExit(
+            f"error: ETAINV_RATIONAL must be 'gmpy2', 'fraction' or 'auto', got {choice!r}"
+        )
     if choice in ("auto", "gmpy2"):
         try:
             from gmpy2 import mpq
             return mpq, "gmpy2"
-        except ImportError:
+        except ImportError as exc:
             if choice == "gmpy2":
-                raise
+                raise SystemExit(
+                    f"error: ETAINV_RATIONAL=gmpy2 but gmpy2 cannot be imported: {exc}"
+                ) from None
     return Fraction, "fraction"
 
 
@@ -56,16 +69,43 @@ def convolve_into(out: list, a, b) -> list:
 
     out[m] += sum_{i+j=m} a[i]*b[j] for m < len(out); zero terms of either
     side are skipped.  Returns out.
+
+    When a and b hold only rationals, each operand is scaled once by the lcm
+    of its denominators, the multiply-adds run on the integer numerators, and
+    each nonzero sum becomes one Rational over da*db, normalised by one gcd
+    (Knuth, TAOCP vol. 2, 4.5.1).  A sequence holding a UniPoly takes the
+    term-by-term loop.
     """
     n = len(out)
-    b_terms = [(j, y) for j, y in enumerate(b[:n]) if y]
-    for i, x in enumerate(a[:n]):
+    a = a[:n]
+    b = b[:n]
+    if any(isinstance(x, UniPoly) for x in chain(a, b, out)):
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                limit = n - i
+                for j, y in b_terms:
+                    if j >= limit:
+                        break
+                    out[i + j] += x * y
+        return out
+    da = lcm(*[x.denominator for x in a])
+    db = lcm(*[y.denominator for y in b])
+    b_terms = [(j, y.numerator * (db // y.denominator)) for j, y in enumerate(b) if y]
+    acc = [0] * n
+    for i, x in enumerate(a):
         if x:
+            x = x.numerator * (da // x.denominator)
             limit = n - i
             for j, y in b_terms:
                 if j >= limit:
                     break
-                out[i + j] += x * y
+                acc[i + j] += x * y
+    d = da * db
+    for m, c in enumerate(acc):
+        if c:
+            q = Rational(c, d)
+            out[m] = out[m] + q if out[m] else q
     return out
 
 

@@ -32,8 +32,9 @@ class u^{2k-1}v in degree 4k and u^m = 0 there for m > 2k, so no higher
 coefficient can change a, eta_rel, (A0, A1) or A1(s).  Production code reads
 one cache entry per k from each of _ahat_factor and _inv_two_cosh.
 
-Work limits, checked before any series work: k <= MAX_K (64) and at most
-MAX_T_VALUES (1000) t values per family scan.
+Work limits, checked before any series work: k <= MAX_K (64), |c|, |s| and
+|t| below PARAM_BOUND (2^63), at most MAX_T_VALUES (1000) t values per family
+scan and at most MAX_S_CANDIDATES (1000) candidates per find_good_s call.
 
 The sign convention: the integral carries an undetermined global sign coming
 from the lift of the involution to the Spin^c structure.  We always take the
@@ -78,12 +79,21 @@ __all__ = [
     "family_scan",
     "SIGN_PLUS",
     "MAX_T_VALUES",
+    "MAX_S_CANDIDATES",
+    "PARAM_BOUND",
+    "check_param_bound",
 ]
 
 SIGN_PLUS = "PLUS"
 
 # work limit on one family scan; k is bounded too
 MAX_T_VALUES = 1_000
+# work limit on one find_good_s call, the same count as a family scan
+MAX_S_CANDIDATES = MAX_T_VALUES
+# work limit: every accepted c, s and t has absolute value below this, so the
+# largest value printed, A1(s) at k = MAX_K, stays far inside the
+# interpreter's 4300-digit limit on int-to-string conversion
+PARAM_BOUND = 2**63
 
 
 class InvalidParams(ValueError):
@@ -94,12 +104,20 @@ class AffinityViolation(AssertionError):
     """The local datum failed to be affine in t; indicates an implementation bug."""
 
 
+def check_param_bound(name: str, value: int):
+    """Refuse a c, s or t with |value| >= PARAM_BOUND (work limit)."""
+    if abs(value) >= PARAM_BOUND:
+        raise InvalidParams(
+            f"|{name}| must be < 2^63 (work limit), got a {abs(value).bit_length()}-bit {name}"
+        )
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """Parameters (k, c, s, t) of one family member.
 
     Standing assumptions: k >= 2, c odd, s even and nonzero, t odd and
-    coprime to s.  Work limit: k <= MAX_K.
+    coprime to s.  Work limits: k <= MAX_K and |c|, |s|, |t| < PARAM_BOUND.
     """
 
     k: int
@@ -112,6 +130,8 @@ class FamilyParams:
             raise InvalidParams(f"k must be >= 2 (standing assumption), got k={self.k}")
         if self.k > MAX_K:
             raise InvalidParams(f"k must be <= {MAX_K} (work limit), got k={self.k}")
+        for name in ("c", "s", "t"):
+            check_param_bound(name, getattr(self, name))
         if self.c % 2 == 0:
             raise InvalidParams(f"c must be odd (standing assumption), got c={self.c}")
         if self.s == 0 or self.s % 2 != 0:
@@ -396,15 +416,23 @@ def a1_poly_in_s(k: int) -> UniPoly:
 
 
 def find_good_s(k: int, s_candidates) -> list[int]:
-    """Filter even nonzero candidates to those with A1(s) != 0."""
-    poly = a1_poly_in_s(k)
-    out = []
+    """Filter even nonzero candidates to those with A1(s) != 0.
+
+    More than MAX_S_CANDIDATES candidates, or one that is invalid or past
+    PARAM_BOUND, raise before A1(s) is built.
+    """
+    _check_k(k)
+    s_candidates = list(s_candidates)
+    if len(s_candidates) > MAX_S_CANDIDATES:
+        raise InvalidParams(
+            f"at most {MAX_S_CANDIDATES} s candidates (work limit), got {len(s_candidates)}"
+        )
     for s in s_candidates:
+        check_param_bound("s", s)
         if s == 0 or s % 2 != 0:
             raise InvalidParams(f"candidate s={s} is not a nonzero even integer")
-        if poly(Rational(s)):
-            out.append(s)
-    return out
+    poly = a1_poly_in_s(k)
+    return [s for s in s_candidates if poly(Rational(s))]
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +465,8 @@ class ScanResult:
 def family_scan(k: int, c: int, s: int, t_values) -> ScanResult:
     """Per-t eta reports plus the number of distinct eta values.
 
-    A k, c or s that breaks the standing assumptions, or more than
-    MAX_T_VALUES t values, raise before any row.  Invalid t values are
+    A k, c or s that breaks the standing assumptions, more than
+    MAX_T_VALUES t values, or any t past PARAM_BOUND, raise before any row.  Invalid t values are
     reported per entry and the scan continues; results are assembled in the
     order of the sequence t_values.  (A0, A1) depend only on (k, c, s): at
     the first valid t they are certified once, for every t, by the ring
@@ -450,6 +478,8 @@ def family_scan(k: int, c: int, s: int, t_values) -> ScanResult:
         raise InvalidParams(
             f"at most {MAX_T_VALUES} t values per scan (work limit), got {len(t_values)}"
         )
+    for t in t_values:
+        check_param_bound("t", t)
     entries = []
     seen = set()
     split = None

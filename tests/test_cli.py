@@ -1,11 +1,17 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
 
 import csv
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import etainv
 from etainv import invariants
 from etainv.cli import CSV_COLUMNS, main
 
@@ -212,6 +218,13 @@ def test_order_option_refused(capsys, monkeypatch, argv):
 
 
 K_LIMIT = "error: k must be <= 64 (work limit), got "
+# the smallest |c|, |s| or |t| refused, and the largest accepted values
+BOUND = 2**63
+BIG_ODD, BIG_EVEN = str(BOUND - 1), str(BOUND - 2)
+
+
+def _bound_err(name, value):
+    return f"error: |{name}| must be < 2^63 (work limit), got a {abs(value).bit_length()}-bit {name}\n"
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -236,6 +249,26 @@ K_LIMIT = "error: k must be <= 64 (work limit), got "
     (["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "200000000",
       "--t-step", "1"],
      "error: at most 1000 t values per scan (work limit), got 200000000\n"),
+    # |c|, |s| and |t| < 2^63: a 4001-digit s used to do all its work, then fail on output
+    (["compute", "-k", "64", "-c", "1", "-s", "2" + "0" * 4000, "-t", "3"],
+     _bound_err("s", 2 * 10**4000)),
+    (["compute", "-k", "2", "-c", "1", "-s", str(BOUND), "-t", "3"], _bound_err("s", BOUND)),
+    (["compute", "-k", "2", "-c", str(-BOUND), "-s", "2", "-t", "3"], _bound_err("c", BOUND)),
+    (["compute", "-k", "2", "-c", "1", "-s", "2", "-t", str(BOUND + 1)],
+     _bound_err("t", BOUND)),
+    # the t bound refuses the whole family before its certificate, like the t count
+    (["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", str(BOUND + 1),
+      "--t-step", str(BOUND)],
+     _bound_err("t", BOUND)),
+    (["family", "-k", "2", "-c", "1", "-s", str(-BOUND), "--t-min", "1", "--t-max", "3"],
+     _bound_err("s", BOUND)),
+    (["find-s", "-k", "2", "--s-candidates", f"2,{BOUND}"], _bound_err("s", BOUND)),
+    (["cohomology", "-k", "2", "-s", str(BOUND)], _bound_err("s", BOUND)),
+    # at most 1000 find-s candidates, counted before A1(s) is built
+    (["find-s", "-k", "2", "--s-candidates", ",".join(["2"] * 1001)],
+     "error: at most 1000 s candidates (work limit), got 1001\n"),
+    (["find-s", "-k", "64", "--s-candidates", ",".join(str(2 * i) for i in range(1, 20001))],
+     "error: at most 1000 s candidates (work limit), got 20000\n"),
 ])
 def test_work_limits_exit_1(capsys, monkeypatch, argv, err):
     for name in SERIES_WORK:
@@ -254,6 +287,16 @@ def test_work_limits_exit_1(capsys, monkeypatch, argv, err):
     ["a1-poly", "-k", "64"],
     ["find-s", "-k", "64", "--s-candidates", "2"],
     ["cohomology", "-k", "64", "-s", "2"],
+    # 1000 candidates, the most find-s accepts
+    ["find-s", "-k", "2", "--s-candidates", ",".join(str(2 * i) for i in range(1, 1001))],
+    # |c|, |s|, |t| = 2^63 - 1 or 2^63 - 2 at k = 64: the longest values printed
+    # (A1(s), 2403 digits) stay inside the 4300-digit int-to-string limit
+    ["compute", "-k", "64", "-c", BIG_ODD, "-s", BIG_EVEN, "-t", BIG_ODD],
+    ["compute", "-k", "64", "-c", "-" + BIG_ODD, "-s", "-" + BIG_EVEN, "-t", "-" + BIG_ODD],
+    ["family", "-k", "64", "-c", BIG_ODD, "-s", BIG_EVEN, "--t-min", str(BOUND - 5),
+     "--t-max", BIG_ODD],
+    ["find-s", "-k", "64", "--s-candidates", f"{BIG_EVEN},-{BIG_EVEN}"],
+    ["cohomology", "-k", "64", "-s", "-" + BIG_EVEN],
 ])
 def test_work_limit_boundaries_accepted(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -292,6 +335,32 @@ def test_verify_exit_0(capsys):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert len(lines) == 10
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+# the console script's entry point is etainv.cli:main
+CONSOLE_SCRIPT = "import sys; from etainv.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("entry", [["-m", "etainv.cli"], ["-c", CONSOLE_SCRIPT]])
+@pytest.mark.parametrize("backend, err", [
+    ("bogus", "error: ETAINV_RATIONAL must be 'gmpy2', 'fraction' or 'auto', got 'bogus'\n"),
+    pytest.param(
+        "gmpy2",
+        "error: ETAINV_RATIONAL=gmpy2 but gmpy2 cannot be imported: No module named 'gmpy2'\n",
+        marks=pytest.mark.skipif(
+            importlib.util.find_spec("gmpy2") is not None, reason="gmpy2 is installed"
+        ),
+    ),
+])
+def test_bad_rational_backend_env_exit_1(entry, backend, err):
+    # the backend is picked when the package is imported, before main runs
+    src = str(Path(etainv.__file__).resolve().parents[1])
+    env = dict(os.environ, ETAINV_RATIONAL=backend, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *entry, "compute", "-k", "2", "-c", "1", "-s", "2", "-t", "3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
 
 
 def test_missing_subcommand_usage_error(capsys):

@@ -146,13 +146,26 @@ def test_unipoly_pow_and_div():
     assert ((s * 6) / Rational(2))[1] == 3
 
 
-@settings(max_examples=50, deadline=None)
+# pairwise coprime Mersenne primes, so clearing an operand's denominators
+# multiplies them together
+LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+# PowerSeries pads with int 0, so kernel inputs mix it with rationals
+kernel_coeffs = st.one_of(
+    st.just(0),
+    rationals,
+    st.builds(Rational, st.integers(-(10**30), 10**30), st.sampled_from(LARGE_PRIMES)),
+)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    st.lists(rationals, max_size=7),
-    st.lists(rationals, max_size=7),
-    st.lists(rationals, max_size=14),
+    st.lists(kernel_coeffs, max_size=7),
+    st.lists(kernel_coeffs, max_size=7),
+    st.lists(kernel_coeffs, max_size=14),
 )
 def test_convolve_into_adds_truncated_product(a, b, start):
+    # start, nonzero or not, may be shorter than len(a) + len(b) - 1
     full = [Rational(0)] * (len(a) + len(b))
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -160,3 +173,44 @@ def test_convolve_into_adds_truncated_product(a, b, start):
     out = list(start)
     assert convolve_into(out, a, b) is out
     assert out == [s + f for s, f in zip(start, full + [0] * len(start))]
+    # every coefficient written is a Rational, so UniPoly products stay canonical
+    assert all(isinstance(x, Rational) for x in out if x)
+
+
+def test_convolve_into_scales_each_numerator_to_the_shared_denominator():
+    p, q = LARGE_PRIMES[:2]
+    a = [Rational(1, p), Rational(-3, 7 * q), Rational(1, 5)]
+    b = [Rational(5, q), Rational(2, 3)]
+    # shorter than the full product (length 4), and its last entry cancels
+    out = [Rational(1, 2), 0, Rational(-5, 7 * q)]
+    convolve_into(out, a, b)
+    assert out == [
+        Rational(1, 2) + Rational(5, p * q),
+        Rational(2, 3 * p) - Rational(15, 7 * q * q),
+        0,
+    ]
+    assert all(isinstance(x, Rational) for x in out)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.one_of(kernel_coeffs, small_polys), max_size=6),
+    st.lists(kernel_coeffs, max_size=6),
+    st.lists(kernel_coeffs, max_size=12),
+    st.sampled_from(("a", "b", "out")),
+)
+def test_convolve_into_with_unipoly_is_the_term_loop(a, b, start, holder):
+    # a UniPoly anywhere (operand or out) sends the product down the term-by-term
+    # loop, whose results, types included, are those of a plain double loop
+    named = {"a": a, "b": b, "out": start}
+    named[holder] = named[holder] + [UniPoly.gen("s")]
+    a, b, start = named["a"], named["b"], named["out"]
+    expected = list(start)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < len(expected) and x and y:
+                expected[i + j] += x * y
+    out = list(start)
+    convolve_into(out, a, b)
+    assert out == expected
+    assert [type(x) for x in out] == [type(x) for x in expected]
