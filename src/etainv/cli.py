@@ -64,10 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, need_t=False):
         p.add_argument("-k", type=int, required=True, help=f"half-dimension parameter, 2 <= k <= {MAX_K}")
-        p.add_argument("-c", type=int, required=True, help="twisting parameter, odd")
-        p.add_argument("-s", type=int, required=True, help="Euler class u-coefficient, even nonzero")
+        p.add_argument("-c", type=int, required=True, help="twisting parameter, odd, |c| < 2^63")
+        p.add_argument("-s", type=int, required=True, help="Euler class u-coefficient, even nonzero, |s| < 2^63")
         if need_t:
-            p.add_argument("-t", type=int, required=True, help="Euler class v-coefficient, odd, coprime to s")
+            p.add_argument("-t", type=int, required=True, help="Euler class v-coefficient, odd, coprime to s, |t| < 2^63")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
         p.add_argument("--approx", action="store_true", help="add decimal renderings alongside exact values")
@@ -88,13 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-s", help="filter candidate s values with A1(s) != 0")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--s-candidates", required=True, help="comma-separated even nonzero integers")
+    p.add_argument("--s-candidates", required=True, help="at most 1000 comma-separated even nonzero integers, each |s| < 2^63")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("cohomology", help="integer cohomology table of the bundle total space")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
+    p.add_argument("-s", type=int, required=True, help="even nonzero, |s| < 2^63")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--output", default=None)
 

@@ -1,5 +1,5 @@
 """Exact rational and univariate polynomial arithmetic, and the one
-truncated convolution that every product in the package runs on.
+truncated convolution loop that every product in the package runs on.
 
 Rationals are arbitrary precision and always kept in lowest terms with a
 positive denominator.  The backend is selected at import time: gmpy2's
@@ -17,6 +17,9 @@ when gmpy2 cannot be imported, stops the process at import with one
 the lcm of that operand's denominators, accumulates the products of the
 integer numerators, and builds one rational per nonzero output coefficient,
 so a product costs one gcd per coefficient rather than one per term.
+``CohClass`` products over Q call its two steps, ``_cleared`` and
+``_int_convolve``, directly, to clear each factor once for all three of
+their convolutions.
 """
 
 from __future__ import annotations
@@ -70,16 +73,16 @@ def convolve_into(out: list, a, b) -> list:
     out[m] += sum_{i+j=m} a[i]*b[j] for m < len(out); zero terms of either
     side are skipped.  Returns out.
 
-    When a and b hold only rationals, each operand is scaled once by the lcm
-    of its denominators, the multiply-adds run on the integer numerators, and
-    each nonzero sum becomes one Rational over da*db, normalised by one gcd
-    (Knuth, TAOCP vol. 2, 4.5.1).  A sequence holding a UniPoly takes the
-    term-by-term loop.
+    When a, b and out hold only rationals, each operand is cleared once
+    (:func:`_cleared`), the multiply-adds run on integers (:func:`_int_convolve`)
+    and each nonzero sum becomes one Rational over da*db, normalised by one
+    gcd (Knuth, TAOCP vol. 2, 4.5.1).  Otherwise (a UniPoly anywhere) it runs
+    term by term.
     """
     n = len(out)
     a = a[:n]
     b = b[:n]
-    if any(isinstance(x, UniPoly) for x in chain(a, b, out)):
+    if _has_unipoly(a, b, out):
         b_terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
@@ -89,24 +92,37 @@ def convolve_into(out: list, a, b) -> list:
                         break
                     out[i + j] += x * y
         return out
-    da = lcm(*[x.denominator for x in a])
-    db = lcm(*[y.denominator for y in b])
-    b_terms = [(j, y.numerator * (db // y.denominator)) for j, y in enumerate(b) if y]
-    acc = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            x = x.numerator * (da // x.denominator)
-            limit = n - i
-            for j, y in b_terms:
-                if j >= limit:
-                    break
-                acc[i + j] += x * y
+    da, a_terms = _cleared(a)
+    db, b_terms = _cleared(b)
     d = da * db
-    for m, c in enumerate(acc):
+    for m, c in enumerate(_int_convolve(n, a_terms, b_terms)):
         if c:
             q = Rational(c, d)
             out[m] = out[m] + q if out[m] else q
     return out
+
+
+def _has_unipoly(*seqs) -> bool:
+    """True if any sequence holds a UniPoly, which rules out the integer route."""
+    return any(isinstance(x, UniPoly) for x in chain(*seqs))
+
+
+def _cleared(seq) -> tuple:
+    """(d, terms): d the lcm of seq's denominators, terms the integer (i, seq[i]*d) of each nonzero entry."""
+    d = lcm(*[x.denominator for x in seq])
+    return d, [(i, x.numerator * (d // x.denominator)) for i, x in enumerate(seq) if x]
+
+
+def _int_convolve(n: int, a_terms, b_terms) -> list:
+    """acc[m] = sum of x*y over the terms (i, x), (j, y) of _cleared with i + j = m < n."""
+    acc = [0] * n
+    for i, x in a_terms:
+        limit = n - i
+        for j, y in b_terms:
+            if j >= limit:
+                break
+            acc[i + j] += x * y
+    return acc
 
 
 def rat_to_str(q) -> str:

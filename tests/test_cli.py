@@ -224,7 +224,8 @@ BIG_ODD, BIG_EVEN = str(BOUND - 1), str(BOUND - 2)
 
 
 def _bound_err(name, value):
-    return f"error: |{name}| must be < 2^63 (work limit), got a {abs(value).bit_length()}-bit {name}\n"
+    bits = abs(value).bit_length()
+    return f"error: |{name}| must be < 2^63 (work limit), got a {bits}-bit {name}\n"
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -15,7 +15,7 @@ from etainv.cohring import (
     coh_integrate,
     coh_integrate_product,
 )
-from etainv.coeffcore import Rational
+from etainv.coeffcore import Rational, UniPoly
 from etainv.series import PowerSeries, ps_exp
 
 
@@ -168,13 +168,18 @@ def _assert_normal_form(x):
 
 
 _fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+# large pairwise coprime (Mersenne prime) denominators: clearing a factor
+# multiplies them together
+_big_fractions = st.builds(
+    Fraction, st.integers(-(10**20), 10**20), st.sampled_from((2**61 - 1, 2**89 - 1, 2**107 - 1))
+)
 
 
 @st.composite
-def _class_pairs(draw):
+def _class_pairs(draw, coeff=_fractions):
     k = draw(st.integers(2, 4))
     spec = RingSpec(k, draw(st.sampled_from((1, -1, 3, -5))))
-    coeffs = st.lists(_fractions, min_size=2 * k, max_size=2 * k)
+    coeffs = st.lists(coeff, min_size=2 * k, max_size=2 * k)
     a = CohClass(spec, draw(coeffs), draw(coeffs))
     b = CohClass(spec, draw(coeffs), draw(coeffs))
     return a, b
@@ -218,6 +223,33 @@ def test_product_is_reduced_untruncated_product(pair):
     p = _full_product(a.p, b.p)
     q = [x + y for x, y in zip(_full_product(a.p, b.q), _full_product(a.q, b.p))]
     assert a * b == CohClass.reduce(a.spec, p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_class_pairs(st.one_of(st.just(0), _fractions, _big_fractions)))
+def test_product_with_large_coprime_denominators(pair):
+    a, b = pair
+    p = _full_product(a.p, b.p)
+    q = [x + y for x, y in zip(_full_product(a.p, b.q), _full_product(a.q, b.p))]
+    product = a * b
+    assert product == CohClass.reduce(a.spec, p, q)
+    assert all(isinstance(x, Rational) for x in product.p + product.q)
+
+
+def _at(x, t):
+    return x(t) if isinstance(x, UniPoly) else x
+
+
+@settings(max_examples=30, deadline=None)
+@given(_class_pairs(), st.integers(-7, 7))
+def test_product_over_q_t_agrees_with_substitution(pair, t):
+    # a v-part over Q[t], as in the family certificate, takes convolve_into's
+    # term-by-term route; substituting t afterwards gives the product over Q
+    a, b = pair
+    symbolic = CohClass._trusted(a.spec, a.p, tuple(x * UniPoly.gen("t") for x in a.q))
+    product = symbolic * b
+    at_t = CohClass(a.spec, [_at(x, t) for x in product.p], [_at(x, t) for x in product.q])
+    assert at_t == CohClass(a.spec, a.p, [x * t for x in a.q]) * b
 
 
 @settings(max_examples=60, deadline=None)
