@@ -10,8 +10,8 @@ Exit codes: 0 success, 1 invalid parameters, input past a work limit
 (k <= 64, |c|, |s| and |t| < 2^63, at most 1000 family t values or find-s
 candidates), usage, an unwritable --output path or a bad ETAINV_RATIONAL
 (refused with one error: line when the package is imported), 2 internal
-consistency failure.  Every series is truncated at u^{2k},
-past which the ring is zero, so no truncation option is offered.
+consistency failure.  Every series is truncated at u^{2k}, past which the
+ring is zero, so no truncation option is offered.
 """
 
 from __future__ import annotations
