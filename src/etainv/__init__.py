@@ -1,8 +1,8 @@
 """Exact computation of relative eta-invariants for circle-bundle quotient
 families, together with the integer-cohomology computations classifying them.
 
-All arithmetic is exact rational; see :mod:`etainv.coeffcore` for the backend
-selection (gmpy2 when available, stdlib fractions otherwise).
+All arithmetic is exact rational, on the stdlib ``fractions.Fraction``; see
+:mod:`etainv.coeffcore`.
 """
 
 from .coeffcore import RATIONAL_BACKEND, Rational, UniPoly, convolve_into

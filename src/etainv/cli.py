@@ -3,15 +3,15 @@
 Subcommands: compute, family, a1-poly, find-s, cohomology, verify.  Every
 numeric field in JSON/CSV output is an exact rational string 'num/den';
 decimal renderings appear only alongside the exact values when --approx is
-given.  Output is deterministic: identical config gives byte-identical
-output.
+given, in compute's JSON and text and in family's JSON; CSV output, and
+family's text, ignore --approx.  Output is deterministic: identical config
+gives byte-identical output.
 
 Exit codes: 0 success, 1 invalid parameters, input past a work limit
 (k <= 64, |c|, |s| and |t| < 2^63, at most 1000 family t values or find-s
-candidates), usage, an unwritable --output path or a bad ETAINV_RATIONAL
-(refused with one error: line when the package is imported), 2 internal
-consistency failure.  Every series is truncated at u^{2k}, past which the
-ring is zero, so no truncation option is offered.
+candidates), usage, an unwritable --output path or an --approx value outside
+float range, 2 internal consistency failure.  Every series is truncated at
+u^{2k}, past which the ring is zero, so no truncation option is offered.
 """
 
 from __future__ import annotations
@@ -70,7 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-t", type=int, required=True, help="Euler class v-coefficient, odd, coprime to s, |t| < 2^63")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--approx", action="store_true", help="add decimal renderings alongside exact values")
+        p.add_argument(
+            "--approx", action="store_true",
+            help="add decimal renderings alongside exact values in JSON and compute's text "
+                 "(CSV and family's text ignore it); a value outside float range exits 1",
+        )
 
     p = sub.add_parser("compute", help="one eta report for (k, c, s, t)")
     add_common(p, need_t=True)
@@ -135,7 +139,8 @@ def _report_text(d: dict) -> str:
 
 def _cmd_compute(args) -> int:
     params = FamilyParams(k=args.k, c=args.c, s=args.s, t=args.t)
-    report = relative_eta(params).to_dict(approx=args.approx)
+    # CSV has no approx columns, so it never asks for the decimals
+    report = relative_eta(params).to_dict(approx=args.approx and args.format != "csv")
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.output)
     elif args.format == "csv":
@@ -152,7 +157,8 @@ def _cmd_family(args) -> int:
     if not ts:
         raise InvalidParams("empty t range")
     result = family_scan(args.k, args.c, args.s, ts)
-    d = result.to_dict(approx=args.approx)
+    # only the JSON rows carry the decimals
+    d = result.to_dict(approx=args.approx and args.format == "json")
     if args.format == "json":
         _emit(json.dumps(d, indent=2), args.output)
     elif args.format == "csv":

@@ -1,15 +1,8 @@
 """Exact rational and univariate polynomial arithmetic, and the one
 truncated convolution loop that every product in the package runs on.
 
-Rationals are arbitrary precision and always kept in lowest terms with a
-positive denominator.  The backend is selected at import time: gmpy2's
-compiled ``mpq`` when available, otherwise the stdlib ``fractions.Fraction``.
-Results are identical either way.  gmpy2's speed-up on this package has not
-been measured; ``benchmarks/bench_rational_backends.py`` compares the two
-where both are installed.  Set ``ETAINV_RATIONAL=fraction`` or
-``ETAINV_RATIONAL=gmpy2`` to force a choice; any other value, or ``gmpy2``
-when gmpy2 cannot be imported, stops the process at import with one
-``error:`` line on stderr and exit code 1.
+Rationals are stdlib ``fractions.Fraction``: arbitrary precision, always in
+lowest terms with a positive denominator.
 
 :func:`convolve_into` multiplies coefficient sequences for ``UniPoly``,
 ``PowerSeries`` and ``CohClass`` alike; the coefficients may be rationals or
@@ -24,7 +17,6 @@ their convolutions.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -40,27 +32,9 @@ __all__ = [
 ]
 
 
-def _pick_backend():
-    # a bad choice leaves the package unusable, so it ends the process with one
-    # "error:" line and exit code 1 (SystemExit), not an import-time traceback
-    choice = os.environ.get("ETAINV_RATIONAL", "auto").lower()
-    if choice not in ("auto", "gmpy2", "fraction"):
-        raise SystemExit(
-            f"error: ETAINV_RATIONAL must be 'gmpy2', 'fraction' or 'auto', got {choice!r}"
-        )
-    if choice in ("auto", "gmpy2"):
-        try:
-            from gmpy2 import mpq
-            return mpq, "gmpy2"
-        except ImportError as exc:
-            if choice == "gmpy2":
-                raise SystemExit(
-                    f"error: ETAINV_RATIONAL=gmpy2 but gmpy2 cannot be imported: {exc}"
-                ) from None
-    return Fraction, "fraction"
-
-
-Rational, RATIONAL_BACKEND = _pick_backend()
+Rational = Fraction
+# the name of the rational type, recorded in benchmark provenance
+RATIONAL_BACKEND = "fraction"
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -141,8 +115,7 @@ def rat_from_str(text: str):
 
 
 def _is_scalar(x) -> bool:
-    # ints, Fractions and gmpy2.mpq all carry the numerator/denominator protocol
-    return not isinstance(x, UniPoly) and hasattr(x, "denominator")
+    return isinstance(x, (int, Fraction))
 
 
 class UniPoly:

@@ -163,6 +163,10 @@ class EtaReport:
     sign_convention: str = SIGN_PLUS
 
     def to_dict(self, approx: bool = False) -> dict:
+        """Exact 'num/den' fields; approx adds float renderings of a_value and eta_rel.
+
+        A value outside float range under approx raises InvalidParams.
+        """
         d = {
             "k": self.params.k,
             "c": self.params.c,
@@ -175,8 +179,13 @@ class EtaReport:
             "sign_convention": self.sign_convention,
         }
         if approx:
-            d["a_value_approx"] = float(self.a_value)
-            d["eta_rel_approx"] = float(self.eta_rel)
+            for name in ("a_value", "eta_rel"):
+                try:
+                    d[f"{name}_approx"] = float(getattr(self, name))
+                except OverflowError:
+                    raise InvalidParams(
+                        f"--approx: {name} is outside float range; omit --approx for the exact value"
+                    ) from None
         return d
 
 

@@ -254,22 +254,6 @@ class PowerSeries:
     def __repr__(self):
         return f"PowerSeries({self.variable!r}, {list(self.coeffs)!r})"
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        from .coeffcore import rat_to_str
-
-        def enc(c):
-            if isinstance(c, UniPoly):
-                return c.to_strings()
-            return rat_to_str(c)
-
-        return {
-            "variable": self.variable,
-            "order": self.order,
-            "coeffs": [enc(c) for c in self.coeffs],
-        }
-
 
 def ps_exp(a, order: int, variable: str = "x") -> PowerSeries:
     """exp(a*x) truncated: sum_{n<=order} a^n x^n / n!."""

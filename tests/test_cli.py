@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
 
 import csv
-import importlib.util
 import io
 import json
 import os
@@ -46,6 +45,34 @@ def test_compute_approx_adds_decimals(capsys):
     d = json.loads(out)
     assert d["eta_rel"] == "-7/4"
     assert d["eta_rel_approx"] == -1.75
+
+
+# k = 64 at s = 1024 gives |a_value| above 10^320, past the largest float (about 1.8e308)
+OVERFLOW_ARGV = [
+    ["compute", "-k", "64", "-c", "1", "-s", "1024", "-t", "3"],
+    ["family", "-k", "64", "-c", "1", "-s", "1024", "--t-min", "1", "--t-max", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_ARGV)
+def test_approx_outside_float_range_exit_1(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, *argv, "--approx")
+    assert (code, out) == (1, "")
+    assert err == "error: --approx: a_value is outside float range; omit --approx for the exact value\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "3", "--format", "csv"],
+    ["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "9", "--format", "csv"],
+    ["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "9", "--format", "text"],
+    *[[*argv, "--format", "csv"] for argv in OVERFLOW_ARGV],
+])
+def test_approx_is_ignored_by_csv_and_family_text(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--approx") == (0, out, "")
 
 
 def test_compute_csv_column_order(capsys):
@@ -343,25 +370,19 @@ CONSOLE_SCRIPT = "import sys; from etainv.cli import main; sys.exit(main())"
 
 
 @pytest.mark.parametrize("entry", [["-m", "etainv.cli"], ["-c", CONSOLE_SCRIPT]])
-@pytest.mark.parametrize("backend, err", [
-    ("bogus", "error: ETAINV_RATIONAL must be 'gmpy2', 'fraction' or 'auto', got 'bogus'\n"),
-    pytest.param(
-        "gmpy2",
-        "error: ETAINV_RATIONAL=gmpy2 but gmpy2 cannot be imported: No module named 'gmpy2'\n",
-        marks=pytest.mark.skipif(
-            importlib.util.find_spec("gmpy2") is not None, reason="gmpy2 is installed"
-        ),
-    ),
-])
-def test_bad_rational_backend_env_exit_1(entry, backend, err):
-    # the backend is picked when the package is imported, before main runs
+@pytest.mark.parametrize("value", ["bogus", "gmpy2"])
+def test_rational_env_var_is_ignored(entry, value):
+    # Fraction is the only rational type; no environment variable selects another
     src = str(Path(etainv.__file__).resolve().parents[1])
-    env = dict(os.environ, ETAINV_RATIONAL=backend, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, *entry, "compute", "-k", "2", "-c", "1", "-s", "2", "-t", "3"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+    env = {key: v for key, v in os.environ.items() if key != "ETAINV_RATIONAL"}
+    env["PYTHONPATH"] = src
+    argv = [sys.executable, *entry, "compute", "-k", "2", "-c", "1", "-s", "2", "-t", "3"]
+    plain = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    env["ETAINV_RATIONAL"] = value
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert '"eta_rel": "-7/4"' in plain.stdout
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, plain.stdout, "")
 
 
 def test_missing_subcommand_usage_error(capsys):

@@ -1,4 +1,6 @@
-"""Rational backend plumbing and dense univariate polynomials."""
+"""Rationals and dense univariate polynomials."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ small_polys = st.lists(rationals, min_size=0, max_size=6).map(
 
 
 def test_backend_is_declared():
-    assert RATIONAL_BACKEND in ("gmpy2", "fraction")
+    assert Rational is Fraction and RATIONAL_BACKEND == "fraction"
 
 
 def test_rational_is_exact():
@@ -144,6 +146,21 @@ def test_unipoly_pow_and_div():
     with pytest.raises(TypeError):
         s ** 2
     assert ((s * 6) / Rational(2))[1] == 3
+
+
+def test_unipoly_scalars_are_int_or_fraction():
+    s = UniPoly.gen("s")
+    assert UniPoly("s", (True, Fraction(1, 2))).coeffs == (1, Rational(1, 2))
+    assert (s + 1) * Fraction(1, 2) == UniPoly("s", (Rational(1, 2), Rational(1, 2)))
+    assert UniPoly.constant("s", 3) == 3
+    with pytest.raises(TypeError):
+        UniPoly("s", (0.5,))
+    for bad in (0.5, "1"):
+        with pytest.raises(TypeError):
+            s + bad
+        with pytest.raises(TypeError):
+            s * bad
+    assert (s == "s") is False
 
 
 # pairwise coprime Mersenne primes, so clearing an operand's denominators

@@ -10,6 +10,7 @@ from etainv.cohring import CohClass, RingSpec, coh_eval_series, coh_integrate
 from etainv.coeffcore import Rational, UniPoly
 from etainv.invariants import (
     AffinityViolation,
+    EtaReport,
     FamilyParams,
     InvalidParams,
     SIGN_PLUS,
@@ -107,6 +108,17 @@ def test_report_to_dict_exact_and_approx():
     da = report.to_dict(approx=True)
     assert da["a_value_approx"] == 0.875
     assert da["eta_rel_approx"] == -1.75
+
+
+@pytest.mark.parametrize("a_value, name", [
+    (Rational(2**1030, 3), "a_value"),  # both out of range; a_value is rendered first
+    (Rational(2**1023), "eta_rel"),  # a_value fits, eta_rel = -2^1024 does not
+])
+def test_report_approx_outside_float_range_is_invalid(a_value, name):
+    report = EtaReport(FamilyParams(2, 1, 2, 3), a_value, -2 * a_value, Rational(0), Rational(0))
+    assert report.to_dict()["a_value"] == f"{a_value.numerator}/{a_value.denominator}"
+    with pytest.raises(InvalidParams, match=rf"^--approx: {name} is outside float range"):
+        report.to_dict(approx=True)
 
 
 def test_eta_rational_in_general():
