@@ -4,21 +4,19 @@ truncated convolution loop that every product in the package runs on.
 Rationals are stdlib ``fractions.Fraction``: arbitrary precision, always in
 lowest terms with a positive denominator.
 
-:func:`convolve_into` multiplies coefficient sequences for ``UniPoly``,
-``PowerSeries`` and ``CohClass`` alike; the coefficients may be rationals or
-``UniPoly`` values.  Over Q it clears each operand's denominators once, with
-the lcm of that operand's denominators, accumulates the products of the
-integer numerators, and builds one rational per nonzero output coefficient,
-so a product costs one gcd per coefficient rather than one per term.
-``CohClass`` products over Q call its two steps, ``_cleared`` and
-``_int_convolve``, directly, to clear each factor once for all three of
-their convolutions.
+:func:`convolve_into` multiplies rational coefficient sequences for
+``UniPoly``, ``PowerSeries`` and ``CohClass`` alike.  It clears each
+operand's denominators once, with the lcm of that operand's denominators,
+accumulates the products of the integer numerators, and builds one rational
+per nonzero output coefficient, so a product costs one gcd per coefficient
+rather than one per term.  ``CohClass`` products call its two steps,
+``_cleared`` and ``_int_convolve``, directly, to clear each factor once for
+all three of their convolutions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 
 __all__ = [
@@ -42,43 +40,23 @@ class DivisionByZero(ZeroDivisionError):
 
 
 def convolve_into(out: list, a, b) -> list:
-    """Add the product of coefficient sequences a and b, truncated to len(out), into out.
+    """Add the product of rational sequences a and b, truncated to len(out), into out.
 
-    out[m] += sum_{i+j=m} a[i]*b[j] for m < len(out); zero terms of either
-    side are skipped.  Returns out.
+    out[m] += sum_{i+j=m} a[i]*b[j] for m < len(out).  Returns out.
 
-    When a, b and out hold only rationals, each operand is cleared once
-    (:func:`_cleared`), the multiply-adds run on integers (:func:`_int_convolve`)
-    and each nonzero sum becomes one Rational over da*db, normalised by one
-    gcd (Knuth, TAOCP vol. 2, 4.5.1).  Otherwise (a UniPoly anywhere) it runs
-    term by term.
+    Each operand is cleared once (:func:`_cleared`), the multiply-adds run on
+    integers (:func:`_int_convolve`) and each nonzero sum becomes one Rational
+    over da*db, normalised by one gcd (Knuth, TAOCP vol. 2, 4.5.1).
     """
     n = len(out)
-    a = a[:n]
-    b = b[:n]
-    if _has_unipoly(a, b, out):
-        b_terms = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                limit = n - i
-                for j, y in b_terms:
-                    if j >= limit:
-                        break
-                    out[i + j] += x * y
-        return out
-    da, a_terms = _cleared(a)
-    db, b_terms = _cleared(b)
+    da, a_terms = _cleared(a[:n])
+    db, b_terms = _cleared(b[:n])
     d = da * db
     for m, c in enumerate(_int_convolve(n, a_terms, b_terms)):
         if c:
             q = Rational(c, d)
             out[m] = out[m] + q if out[m] else q
     return out
-
-
-def _has_unipoly(*seqs) -> bool:
-    """True if any sequence holds a UniPoly, which rules out the integer route."""
-    return any(isinstance(x, UniPoly) for x in chain(*seqs))
 
 
 def _cleared(seq) -> tuple:

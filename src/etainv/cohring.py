@@ -7,10 +7,9 @@ nonzero degree is 4k, spanned by u^{2k-1}*v.
 
 A product builds only the terms that can survive reduction: p1*p2 up to
 u^{2k} (which folds into c*u^{2k-1}*v) and p1*q2 + q1*p2 up to u^{2k-1}*v.
-Over Q it runs coeffcore's integer kernel directly: each of p1, q1, p2, q2
-is cleared of denominators once and p1*q2 + q1*p2 is summed in integers, one
-rational per coefficient; coefficients in Q[t] go through
-:func:`~etainv.coeffcore.convolve_into`.  ``**`` is the package's one binary
+It runs coeffcore's integer kernel directly: each of p1, q1, p2, q2 is
+cleared of denominators once and p1*q2 + q1*p2 is summed in integers, one
+rational per coefficient.  ``**`` is the package's one binary
 exponentiation.
 
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
@@ -28,7 +27,6 @@ from math import lcm
 from .coeffcore import (
     Rational,
     _cleared,
-    _has_unipoly,
     _int_convolve,
     convolve_into,
     rat_to_str,
@@ -235,14 +233,9 @@ class CohClass:
         self._check(other)
         n = 2 * self.spec.k
         # (p1 + v q1)(p2 + v q2) = p1 p2 + v (p1 q2 + q1 p2)   [v^2 = 0];
-        # u^m = 0 for m > 2k and u^{2k} v = 0, so nothing past these lengths survives
-        if _has_unipoly(self.p, self.q, other.p, other.q):
-            pp = convolve_into([Rational(0)] * (n + 1), self.p, other.p)
-            vq = convolve_into([Rational(0)] * n, self.p, other.q)
-            convolve_into(vq, self.q, other.p)
-            return CohClass._reduce_padded(self.spec, pp, vq)
-        # over Q each of p1, q1, p2, q2 is cleared once, and p1 q2 + q1 p2 is
-        # summed in integers over one denominator, one Rational per coefficient
+        # u^m = 0 for m > 2k and u^{2k} v = 0, so nothing past these lengths survives.
+        # Each of p1, q1, p2, q2 is cleared once, and p1 q2 + q1 p2 is summed in
+        # integers over one denominator, one Rational per coefficient
         (dp1, p1), (dq1, q1) = _cleared(self.p), _cleared(self.q)
         (dp2, p2), (dq2, q2) = _cleared(other.p), _cleared(other.q)
         zero = Rational(0)

@@ -1,17 +1,17 @@
-"""Truncated formal power series over an exact coefficient ring.
+"""Truncated formal power series over Q.
 
 A series carries its variable tag and an explicit truncation order N; the
-coefficient list always has exactly N+1 entries and no operation ever reports
-a coefficient beyond the truncation.  Coefficients may be rationals or
-:class:`~etainv.coeffcore.UniPoly` values, so the same engine runs over Q and
-over Q[s].  Mixed-order arithmetic truncates to the minimum order.
+coefficient list always has exactly N+1 rationals (``int`` or ``Fraction``)
+and no operation ever reports a coefficient beyond the truncation.  Products
+run on :func:`~etainv.coeffcore.convolve_into`.  Mixed-order arithmetic
+truncates to the minimum order.
 """
 
 from __future__ import annotations
 
 import math
 
-from .coeffcore import Rational, UniPoly, convolve_into
+from .coeffcore import Rational, convolve_into
 
 __all__ = [
     "PowerSeries",
@@ -44,27 +44,10 @@ class OrderExceeded(IndexError):
     """Coefficient request beyond the truncation order."""
 
 
-def _is_unit(c) -> bool:
-    if isinstance(c, UniPoly):
-        return c.is_constant() and bool(c)
-    return bool(c)
-
-
 def _inv_unit(c):
-    if isinstance(c, UniPoly):
-        if not _is_unit(c):
-            raise NonUnitConstantTerm("constant term is not a unit of Q[%s]" % c.variable)
-        return UniPoly.constant(c.variable, 1 / c.constant_value())
     if not c:
         raise NonUnitConstantTerm("constant term is zero")
     return Rational(1) / c
-
-
-def _unit_pow(c, n: int):
-    # a unit of Q[s] is a nonzero constant, so its power is that constant's power
-    if isinstance(c, UniPoly):
-        return UniPoly.constant(c.variable, c.constant_value() ** n)
-    return c ** n
 
 
 class PowerSeries:
@@ -116,12 +99,7 @@ class PowerSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        if self.variable != other.variable:
-            return False
-        n = min(self.order, other.order)
-        return all(
-            not (self.coeffs[i] - other.coeffs[i]) for i in range(n + 1)
-        ) and self.order == other.order
+        return (self.variable, self.order, self.coeffs) == (other.variable, other.order, other.coeffs)
 
     def __hash__(self):
         return hash((self.variable, self.order, self.coeffs))
@@ -179,7 +157,7 @@ class PowerSeries:
         For g = f**n with f(0) a unit: g_0 = f_0^n and
         g_m = (1/(m f_0)) * sum_{j=1..m} ((n+1) j - m) f_j g_{m-j}.
         A series whose lowest nonzero term is f_v x^v is raised as
-        x^{nv} (f/x^v)**n, so f_v must be a unit of the coefficient ring.
+        x^{nv} (f/x^v)**n; f_v is nonzero, so a unit of Q.
         """
         if n < 0:
             raise ValueError("negative series power; use divide")
@@ -191,7 +169,7 @@ class PowerSeries:
             return PowerSeries(self.variable, (), order)
         f = self.coeffs[v:]
         f0_inv = _inv_unit(f[0])
-        g = [_unit_pow(f[0], n)]
+        g = [f[0] ** n]
         for m in range(1, order - n * v + 1):
             acc = 0
             for j in range(1, m + 1):
@@ -203,7 +181,7 @@ class PowerSeries:
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """h with h * other = self to the common truncation order.
 
-        Requires other(0) to be a unit of the coefficient ring.
+        Requires other(0) to be nonzero.
         """
         n = self._align(other)
         g0_inv = _inv_unit(other.coeffs[0])
@@ -232,11 +210,11 @@ class PowerSeries:
     def revert(self) -> "PowerSeries":
         """Compositional inverse g with self(g) = id, by Lagrange inversion.
 
-        Requires f(0) = 0 and a unit linear coefficient.
+        Requires f(0) = 0 and a nonzero linear coefficient.
         """
         if self.order < 1 or self.coeffs[0]:
             raise NotReversible("series must have zero constant term")
-        if not _is_unit(self.coeffs[1]):
+        if not self.coeffs[1]:
             raise NotReversible("linear coefficient must be a unit")
         n = self.order
         # self = x * h with h(0) a unit; q = 1/h, g_m = [x^{m-1}] q^m / m
@@ -259,8 +237,7 @@ def ps_exp(a, order: int, variable: str = "x") -> PowerSeries:
     """exp(a*x) truncated: sum_{n<=order} a^n x^n / n!."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    if not isinstance(a, UniPoly):
-        a = Rational(a)
+    a = Rational(a)
     coeffs = [1]
     num = 1
     for n in range(1, order + 1):

@@ -208,13 +208,11 @@ def cohomology_Mbar(k: int, s: int) -> list[AbelianGroupDesc]:
     H^0 = H^2 = Z, H^{2i} = Z_{s^2} for 2 <= i <= 2k-1 (torsion read off the
     Gysin step cokernels), H^{4k-1} = H^{4k+1} = Z, everything else zero.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    spec = RingSpec(k, 1)  # checks 2 <= k <= MAX_K before s
     if s == 0 or s % 2 != 0:
         raise ValueError(f"s must be a nonzero even integer, got s={s}")
     zero = AbelianGroupDesc(0, ())
     z = AbelianGroupDesc(1, ())
-    spec = RingSpec(k, 1)
     table: list[AbelianGroupDesc] = [zero] * (4 * k + 2)
     table[0] = z
     table[2] = z

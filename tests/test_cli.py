@@ -297,6 +297,13 @@ def _bound_err(name, value):
      "error: at most 1000 s candidates (work limit), got 1001\n"),
     (["find-s", "-k", "64", "--s-candidates", ",".join(str(2 * i) for i in range(1, 20001))],
      "error: at most 1000 s candidates (work limit), got 20000\n"),
+    # |t| < 2^63 at both ends, yet more t values than len() of a range can count
+    (["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", str(1 - BOUND), "--t-max", BIG_ODD,
+      "--t-step", "1"],
+     f"error: at most 1000 t values per scan (work limit), got {2 * BOUND - 1}\n"),
+    (["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", str(10**29),
+      "--t-step", "1"],
+     f"error: at most 1000 t values per scan (work limit), got {10**29}\n"),
 ])
 def test_work_limits_exit_1(capsys, monkeypatch, argv, err):
     for name in SERIES_WORK:

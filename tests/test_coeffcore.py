@@ -207,27 +207,3 @@ def test_convolve_into_scales_each_numerator_to_the_shared_denominator():
         0,
     ]
     assert all(isinstance(x, Rational) for x in out)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.one_of(kernel_coeffs, small_polys), max_size=6),
-    st.lists(kernel_coeffs, max_size=6),
-    st.lists(kernel_coeffs, max_size=12),
-    st.sampled_from(("a", "b", "out")),
-)
-def test_convolve_into_with_unipoly_is_the_term_loop(a, b, start, holder):
-    # a UniPoly anywhere (operand or out) sends the product down the term-by-term
-    # loop, whose results, types included, are those of a plain double loop
-    named = {"a": a, "b": b, "out": start}
-    named[holder] = named[holder] + [UniPoly.gen("s")]
-    a, b, start = named["a"], named["b"], named["out"]
-    expected = list(start)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if i + j < len(expected) and x and y:
-                expected[i + j] += x * y
-    out = list(start)
-    convolve_into(out, a, b)
-    assert out == expected
-    assert [type(x) for x in out] == [type(x) for x in expected]

@@ -15,7 +15,7 @@ from etainv.cohring import (
     coh_integrate,
     coh_integrate_product,
 )
-from etainv.coeffcore import Rational, UniPoly
+from etainv.coeffcore import Rational
 from etainv.series import PowerSeries, ps_exp
 
 
@@ -234,22 +234,6 @@ def test_product_with_large_coprime_denominators(pair):
     product = a * b
     assert product == CohClass.reduce(a.spec, p, q)
     assert all(isinstance(x, Rational) for x in product.p + product.q)
-
-
-def _at(x, t):
-    return x(t) if isinstance(x, UniPoly) else x
-
-
-@settings(max_examples=30, deadline=None)
-@given(_class_pairs(), st.integers(-7, 7))
-def test_product_over_q_t_agrees_with_substitution(pair, t):
-    # a v-part over Q[t], as in the family certificate, takes convolve_into's
-    # term-by-term route; substituting t afterwards gives the product over Q
-    a, b = pair
-    symbolic = CohClass._trusted(a.spec, a.p, tuple(x * UniPoly.gen("t") for x in a.q))
-    product = symbolic * b
-    at_t = CohClass(a.spec, [_at(x, t) for x in product.p], [_at(x, t) for x in product.q])
-    assert at_t == CohClass(a.spec, a.p, [x * t for x in a.q]) * b
 
 
 @settings(max_examples=60, deadline=None)

@@ -204,9 +204,12 @@ def test_a1_poly_evaluations():
 
 
 def test_a1_poly_matches_series_over_q_s():
-    # oracle: the univariate generating series run over Q[s], s the generator
+    # oracle: the univariate generating series, run over Q at 2k distinct
+    # rational s; both sides have degree <= 2k-1 in s, so they agree as polynomials
     for k in range(2, 25):
-        assert a1_poly_in_s(k) == invariants._a1_series(k, UniPoly.gen("s")), k
+        poly = a1_poly_in_s(k)
+        for s in (Rational(n, 3) for n in range(-k, k + 1) if n):
+            assert poly(s) == invariants._a1_series(k, s), (k, s)
     with pytest.raises(InvalidParams):
         a1_poly_in_s(1)
 
@@ -327,8 +330,9 @@ def test_univariate_split_matches_ring_probes(params):
 
 
 def test_every_valid_row_checks_its_ring_integral(monkeypatch):
-    # the certificate is one polynomial in t per family; a wrong t^0 or t^1
-    # coefficient alone must fail every route that publishes a row
+    # the certificate is two rational ring integrals per family, I(0) and I(1);
+    # a wrong I(0) alone, a wrong I(1) alone, or both shifted alike (a wrong t^0
+    # coefficient with the right slope) must fail every route that publishes a row
     integral = invariants.coh_integrate_product
     calls = []
 
@@ -339,14 +343,18 @@ def test_every_valid_row_checks_its_ring_integral(monkeypatch):
     monkeypatch.setattr(invariants, "coh_integrate_product", counted)
     t_values = [1, 3, 5, 7, 9, 11]  # s = 6 makes t = 3 and 9 invalid
     assert family_scan(2, 1, 6, t_values).distinct_count == 4
-    assert len(calls) == 1
+    assert len(calls) == 2
+    rat = r"-?\d+(/\d+)?"
     message = (
-        r"^ring integral UniPoly\(.*\) disagrees with A0 - A1\*t = UniPoly\(.*\) "
+        rf"^ring integral {rat} \+ \({rat}\)\*t disagrees with A0 - A1\*t = {rat} - \({rat}\)\*t "
         r"at \(k=2, c=1, s=6\)$"
     )
-    for delta in (Rational(1), UniPoly.gen("t")):
+    datum_at = invariants._datum_at
+    for wrong in ({0}, {1}, {0, 1}):
         monkeypatch.setattr(
-            invariants, "coh_integrate_product", lambda a, b, d=delta: integral(a, b) + d
+            invariants,
+            "_datum_at",
+            lambda ahat, s, t, w=wrong: datum_at(ahat, s, t) + (1 if t in w else 0),
         )
         with pytest.raises(AffinityViolation, match=message):
             family_scan(2, 1, 6, t_values)
@@ -388,3 +396,16 @@ def test_family_scan_t_count_limit(monkeypatch):
         family_scan(2, 1, 2, range(1, 2003, 2))
     with pytest.raises(InvalidParams, match=r"got 100000000$"):
         family_scan(2, 1, 2, range(1, 2 * 10**8, 2))
+    # len() of these ranges overflows a C ssize_t; the count must not
+    bound = 2**63 - 1
+    with pytest.raises(InvalidParams, match=rf"got {2**64 - 1}$"):
+        family_scan(2, 1, 2, range(-bound, bound + 1))
+    with pytest.raises(InvalidParams, match=rf"got {10**29}$"):
+        family_scan(2, 1, 2, range(1, 10**29 + 1))
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-7, 7).filter(bool))
+def test_t_count_is_len_of_a_range(start, stop, step):
+    t_values = range(start, stop, step)
+    assert invariants._t_count(t_values) == len(t_values)
+    assert invariants._t_count(list(t_values)) == len(t_values)

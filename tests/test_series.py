@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from etainv.coeffcore import Rational, UniPoly
+from etainv.coeffcore import Rational
 from etainv.series import (
     NonUnitConstantTerm,
     NonzeroConstantInner,
@@ -165,21 +165,6 @@ def test_pow_matches_repeated_multiplication(zeros, tail, order, n):
 def test_pow_past_truncation_is_zero():
     # x^{nv} beyond the order leaves nothing, and no coefficient list of length nv is built
     assert PowerSeries("x", [0, 1], 4) ** 10**9 == PowerSeries("x", [], 4)
-
-
-def test_generic_coefficients_unipoly():
-    # the same engine must run over Q[s] coefficients
-    s = UniPoly.gen("s")
-    f = PowerSeries("x", [UniPoly.constant("s", 1), s], 4)
-    sq = f * f
-    assert sq.coeff(1) == s * 2
-    assert sq.coeff(2) == s * s
-    inv = PowerSeries.constant("x", UniPoly.constant("s", 1), 4).divide(f)
-    assert (inv * f) == PowerSeries.constant("x", UniPoly.constant("s", 1), 4)
-    g = PowerSeries("x", [UniPoly.constant("s", 2), s, 1 - s * s], 6)
-    assert g ** 5 == _repeated_mul(g, 5)
-    with pytest.raises(NonUnitConstantTerm):
-        PowerSeries("x", [0, s], 4) ** 2
 
 
 def test_immutability():

@@ -141,6 +141,9 @@ def test_cohomology_table_k3():
 def test_cohomology_table_validation():
     with pytest.raises(ValueError):
         cohomology_Mbar(1, 2)
+    # RingSpec checks k, before s is looked at
+    with pytest.raises(ValueError, match=r"^k must be >= 2, got 1$"):
+        cohomology_Mbar(1, 3)
     with pytest.raises(ValueError):
         cohomology_Mbar(2, 3)
     with pytest.raises(ValueError):
