@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -55,7 +56,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call, not at import.
+
+    parse_args keeps no state between calls: each starts a fresh namespace
+    from the declared defaults, so main reuses this parser for every request.
+    """
     parser = _Parser(
         prog="etainv",
         description="Exact relative eta-invariants for circle-bundle quotient families.",
@@ -83,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--t-min", type=int, required=True)
     p.add_argument("--t-max", type=int, required=True)
-    p.add_argument("--t-step", type=int, default=2)
+    p.add_argument("--t-step", type=int, default=2,
+                   help="step from --t-min up to --t-max, >= 1; t runs upward only")
 
     p = sub.add_parser("a1-poly", help="the degree-one coefficient as a polynomial in s")
     p.add_argument("-k", type=int, required=True)
@@ -151,11 +159,11 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    if args.t_step == 0 or args.t_max < args.t_min:
+    if args.t_step < 1:
+        raise InvalidParams("--t-step must be >= 1")
+    if args.t_max < args.t_min:
         raise InvalidParams("--t-min/--t-max/--t-step define an empty range")
     ts = range(args.t_min, args.t_max + 1, args.t_step)
-    if not ts:
-        raise InvalidParams("empty t range")
     result = family_scan(args.k, args.c, args.s, ts)
     # only the JSON rows carry the decimals
     d = result.to_dict(approx=args.approx and args.format == "json")
@@ -245,8 +253,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "compute": _cmd_compute,
         "family": _cmd_family,

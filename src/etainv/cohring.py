@@ -15,8 +15,10 @@ exponentiation.
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f(p + v*q) as f(p) + v*q*f'(p) from the powers of the u-polynomial
 p alone, and :func:`coh_integrate_product` reads the integral of a product
-from its two factors in O(k) without forming it.  No k above MAX_K (64) is
-accepted.
+from its two factors in O(k) without forming it.  Both take the product's
+integer path: each operand is cleared of denominators once, the sums run in
+integers, and each result coefficient is one rational.  No k above MAX_K
+(64) is accepted.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .coeffcore import (
     Rational,
     _cleared,
     _int_convolve,
-    convolve_into,
     rat_to_str,
 )
 from .series import PowerSeries
@@ -289,9 +290,14 @@ def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:
     With x = p(u) + v*q(u) and v^2 = 0, f(x) = f(p) + v*q*f'(p).  As p(0) = 0,
     p = u*r and p^m = u^m * r^m, so only r^m is formed, to the 2k + 1 - m
     terms that survive below u^{2k+1}; u^{2k} then folds into c*u^{2k-1}*v.
-    For a degree-2 class r is a constant and the evaluation costs O(k)
-    rational products.  Requires order(f) >= 2k so the truncation cannot
-    hide a surviving term.
+
+    One integer path for every class: f is cleared once (f_m = F_m/d_f), r
+    once (r = R/d_r) and q once, R^m is formed in integers, and f(p) and
+    f'(p) are accumulated as numerators over the one denominator
+    d_f*d_r^{2k}.  Each output coefficient is then one Rational.  For a
+    degree-2 class R is one integer and the evaluation costs O(k) integer
+    products.  Requires order(f) >= 2k so the truncation cannot hide a
+    surviving term.
     """
     if x.constant_part():
         raise NonNilpotentArgument("class has a nonzero constant part")
@@ -300,29 +306,42 @@ def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:
         raise InsufficientOrder(
             f"series order {f.order} < 2k = {n}; higher terms would be lost"
         )
-    zero = Rational(0)
-    r = list(x.p[1:])
-    while r and not r[-1]:
-        r.pop()
-    fp = [zero] * (n + 1)  # f(p), up to u^{2k}
-    dfp = [zero] * n  # f'(p), up to u^{2k-1}
-    r_pow = [Rational(1)]  # r^(m-1) on entry to step m
+    d_f, f_terms = _cleared(f.coeffs[: n + 1])
+    d_r, r = _cleared(x.p[1:])
+    d_q, q = _cleared(x.q)
+    coeff = dict(f_terms)
+    # lift[m] = d_r^(2k - m) takes a term over d_f*d_r^m to d_f*d_r^(2k)
+    lift = [1]
+    for _ in range(n):
+        lift.append(lift[-1] * d_r)
+    lift.reverse()
+    fp = [0] * (n + 1)  # f(p) numerators, up to u^{2k}
+    dfp = [0] * n  # f'(p) numerators, up to u^{2k-1}
+    fp[0] = coeff.get(0, 0) * lift[0]
+    r_pow = [(0, 1)]  # R^(m-1) on entry to step m, as (index, integer) terms
     for m in range(1, n + 1):
-        cm = f.coeffs[m]
+        cm = coeff.get(m)
         if cm:
-            for i, y in enumerate(r_pow[: n + 1 - m]):
-                if y:
-                    dfp[m - 1 + i] += m * cm * y
-        r_pow = convolve_into([zero] * min(len(r_pow) + len(r) - 1, n + 1 - m), r_pow, r)
-        if not any(r_pow):
+            w = m * cm * lift[m - 1]
+            for i, y in r_pow:
+                if i > n - m:
+                    break
+                dfp[m - 1 + i] += w * y
+        r_pow = [(i, y) for i, y in enumerate(_int_convolve(n + 1 - m, r_pow, r)) if y]
+        if not r_pow:
             break
         if cm:
-            for i, y in enumerate(r_pow):
-                if y:
-                    fp[m + i] += cm * y
-    fp[0] += f.coeffs[0]
-    vq = convolve_into([zero] * n, x.q, dfp)
-    return CohClass._reduce_padded(x.spec, fp, vq)
+            w = cm * lift[m]
+            for i, y in r_pow:
+                fp[m + i] += w * y
+    vq = _int_convolve(n, q, [(i, y) for i, y in enumerate(dfp) if y])
+    # u^{2k} folds into c*u^{2k-1}*v; the v-part's denominator carries d_q too
+    vq[n - 1] += fp[n] * x.spec.c * d_q
+    zero = Rational(0)
+    d = d_f * lift[0]
+    p = tuple(Rational(y, d) if y else zero for y in fp[:n])
+    d *= d_q
+    return CohClass._trusted(x.spec, p, tuple(Rational(y, d) if y else zero for y in vq))
 
 
 def coh_integrate(a: CohClass):
@@ -334,13 +353,17 @@ def coh_integrate_product(a: CohClass, b: CohClass):
     """coh_integrate(a * b) in O(k), without forming the product.
 
     The u^{2k-1}*v coefficient of (p1 + v q1)(p2 + v q2) is
-    [u^{2k-1}](p1 q2 + q1 p2) + c * [u^{2k}](p1 p2).
+    [u^{2k-1}](p1 q2 + q1 p2) + c * [u^{2k}](p1 p2).  Each of p1, q1, p2, q2
+    is cleared once; the three terms are integer dot products, one Rational
+    each.
     """
     a._check(b)
     n = 2 * a.spec.k
-    top = sum(
-        (a.p[i] * b.q[n - 1 - i] + a.q[i] * b.p[n - 1 - i] for i in range(n)),
-        Rational(0),
+    (dp1, p1), (dq1, q1) = _cleared(a.p), _cleared(a.q)
+    (dp2, p2), (dq2, q2) = _cleared(b.p), _cleared(b.q)
+    p2, q2 = dict(p2), dict(q2)
+    return (
+        Rational(sum(x * q2.get(n - 1 - i, 0) for i, x in p1), dp1 * dq2)
+        + Rational(sum(x * p2.get(n - 1 - i, 0) for i, x in q1), dq1 * dp2)
+        + Rational(a.spec.c * sum(x * p2.get(n - i, 0) for i, x in p1), dp1 * dp2)
     )
-    fold = sum((a.p[i] * b.p[n - i] for i in range(1, n)), Rational(0))
-    return top + fold * a.spec.c

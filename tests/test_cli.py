@@ -165,6 +165,15 @@ def test_family_empty_range_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("bounds", [["--t-min", "5", "--t-max", "1"], ["--t-min", "1", "--t-max", "5"]])
+def test_family_step_below_1_exit_1(capsys, monkeypatch, bounds):
+    # t runs upward only: a step below 1 is refused before the range is read
+    for name in SERIES_WORK:
+        monkeypatch.setattr(invariants, name, _refuse)
+    argv = ["family", "-k", "2", "-c", "1", "-s", "2", *bounds, "--t-step", "-2"]
+    assert run_cli(capsys, *argv) == (1, "", "error: --t-step must be >= 1\n")
+
+
 def test_a1_poly_json(capsys):
     code, out, _ = run_cli(capsys, "a1-poly", "-k", "2")
     d = json.loads(out)
@@ -398,3 +407,35 @@ def test_missing_subcommand_usage_error(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch, tmp_path):
+    # main reuses one parser per process; each call must read as the same call
+    # made first in a fresh interpreter: no option, default or --output carries over
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(etainv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    calls = [
+        ["compute", "-k", "2"],
+        ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "3", "--format", "csv", "--approx",
+         "--output", "{out}"],
+        ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "3"],
+        ["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "5"],
+        ["verify", "--suite", "paper"],
+    ]
+    for i, call in enumerate(calls):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        try:
+            code = main([a.format(out=here) for a in call])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-c", CONSOLE_SCRIPT, *[a.format(out=fresh) for a in call]],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert here.exists() == fresh.exists()
+        if here.exists():
+            assert here.read_bytes() == fresh.read_bytes()
+    assert code == 0 and out.count("PASS") == 10

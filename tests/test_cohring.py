@@ -237,7 +237,7 @@ def test_product_with_large_coprime_denominators(pair):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_class_pairs())
+@given(st.one_of(_class_pairs(), _class_pairs(st.one_of(st.just(0), _big_fractions))))
 def test_integrate_product_is_integral_of_product(pair):
     a, b = pair
     assert coh_integrate_product(a, b) == coh_integrate(a * b)
@@ -277,6 +277,32 @@ def _series_and_nilpotent_class(draw):
 @settings(max_examples=80, deadline=None)
 @given(_series_and_nilpotent_class())
 def test_eval_series_matches_repeated_products(case):
+    f, x = case
+    got = coh_eval_series(f, x)
+    assert got == _eval_series_by_products(f, x)
+    _assert_normal_form(got)
+
+
+_big_ints = st.integers(-(2**62), 2**62)
+
+
+@st.composite
+def _series_and_degree_2_class(draw):
+    k = draw(st.integers(2, 6))
+    spec = RingSpec(k, draw(st.sampled_from((1, -1, 3, -5))))
+    # a = 0 is the 2v factor of A-hat(B_c); integers up to 2^62 are the Euler
+    # class su + tv at the parameter bound
+    a = draw(st.one_of(st.just(0), _big_ints, _big_fractions))
+    b = draw(st.one_of(_big_ints, _big_fractions))
+    coeff = draw(st.sampled_from((_fractions, st.one_of(st.just(0), _big_fractions))))
+    order = 2 * k + draw(st.integers(0, 2))
+    f = PowerSeries("x", draw(st.lists(coeff, min_size=order + 1, max_size=order + 1)), order)
+    return f, CohClass.from_uv(spec, a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_series_and_degree_2_class())
+def test_eval_series_at_degree_2_classes_matches_repeated_products(case):
     f, x = case
     got = coh_eval_series(f, x)
     assert got == _eval_series_by_products(f, x)

@@ -330,9 +330,10 @@ def test_univariate_split_matches_ring_probes(params):
 
 
 def test_every_valid_row_checks_its_ring_integral(monkeypatch):
-    # the certificate is two rational ring integrals per family, I(0) and I(1);
-    # a wrong I(0) alone, a wrong I(1) alone, or both shifted alike (a wrong t^0
-    # coefficient with the right slope) must fail every route that publishes a row
+    # the certificate is two rational ring integrals per family, I(0) and I(1),
+    # both against one evaluation of G; a wrong I(0) alone, a wrong I(1) alone,
+    # or both shifted alike (a wrong t^0 coefficient with the right slope) must
+    # fail every route that publishes a row
     integral = invariants.coh_integrate_product
     calls = []
 
@@ -349,18 +350,33 @@ def test_every_valid_row_checks_its_ring_integral(monkeypatch):
         rf"^ring integral {rat} \+ \({rat}\)\*t disagrees with A0 - A1\*t = {rat} - \({rat}\)\*t "
         r"at \(k=2, c=1, s=6\)$"
     )
-    datum_at = invariants._datum_at
+
+    def shifted(wrong):
+        # G(su), the class behind I(0), has no v-part below the top class
+        def perturbed(a, b):
+            t = 1 if any(b.q[:-1]) else 0
+            return integral(a, b) + (1 if t in wrong else 0)
+
+        return perturbed
+
     for wrong in ({0}, {1}, {0, 1}):
-        monkeypatch.setattr(
-            invariants,
-            "_datum_at",
-            lambda ahat, s, t, w=wrong: datum_at(ahat, s, t) + (1 if t in w else 0),
-        )
+        monkeypatch.setattr(invariants, "coh_integrate_product", shifted(wrong))
         with pytest.raises(AffinityViolation, match=message):
             family_scan(2, 1, 6, t_values)
         for t in (1, 5, 7, 11):
             with pytest.raises(AffinityViolation, match=message):
                 relative_eta(FamilyParams(2, 1, 6, t))
+
+
+@pytest.mark.parametrize("k", [2, 3, 16, 64])
+@pytest.mark.parametrize("s", [2, -6, 2**63 - 2])
+def test_certificate_integrals_are_the_ring_datum_at_t_0_and_1(k, s):
+    # one G evaluation gives the same two integrals as two evaluations at su and su + v
+    for c in (1, -7):
+        spec = RingSpec(k, c)
+        ahat = invariants.ahat_Bc(spec)
+        expected = tuple(invariants._datum_at(ahat, s, t) for t in (0, 1))
+        assert invariants._ring_integrals(spec, s) == expected
 
 
 def test_k_limit():
