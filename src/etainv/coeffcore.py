@@ -5,13 +5,14 @@ Rationals are stdlib ``fractions.Fraction``: arbitrary precision, always in
 lowest terms with a positive denominator.
 
 :func:`convolve_into` multiplies rational coefficient sequences for
-``UniPoly``, ``PowerSeries`` and ``CohClass`` alike.  It clears each
-operand's denominators once, with the lcm of that operand's denominators,
-accumulates the products of the integer numerators, and builds one rational
-per nonzero output coefficient, so a product costs one gcd per coefficient
-rather than one per term.  ``CohClass`` products call its two steps,
-``_cleared`` and ``_int_convolve``, directly, to clear each factor once for
-all three of their convolutions.
+``UniPoly`` and ``PowerSeries``.  It clears each operand's denominators
+once, with the lcm of that operand's denominators, accumulates the products
+of the integer numerators, and builds one rational per nonzero output
+coefficient, so a product costs one gcd per coefficient rather than one per
+term.  The cohomology ring calls its two steps, ``_cleared`` and
+``_int_convolve``, directly: a ``CohClass`` product clears each factor once
+for all three of its convolutions, and series evaluation and the product
+integral clear each operand once for all their sums.
 """
 
 from __future__ import annotations

@@ -165,7 +165,10 @@ def test_family_empty_range_exit_1(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("bounds", [["--t-min", "5", "--t-max", "1"], ["--t-min", "1", "--t-max", "5"]])
+@pytest.mark.parametrize("bounds", [
+    ["--t-min", "5", "--t-max", "1"],
+    ["--t-min", "1", "--t-max", "5"],
+])
 def test_family_step_below_1_exit_1(capsys, monkeypatch, bounds):
     # t runs upward only: a step below 1 is refused before the range is read
     for name in SERIES_WORK:
