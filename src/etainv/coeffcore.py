@@ -238,11 +238,21 @@ class UniPoly:
         return UniPoly._trusted(self.variable, tuple(c / scalar for c in self.coeffs))
 
     def __call__(self, x):
-        """Evaluate by Horner's rule at a rational point."""
-        acc = Rational(0)
+        """Evaluate by Horner's rule at a rational point, in integers.
+
+        The coefficients are cleared once, c_i = a_i/D, and x = p/q is
+        homogenised: for degree n the value is
+        sum_i a_i p^i q^(n+1-i) / (D q^(n+1)), the sum by Horner's rule over
+        integers and one Fraction at the end.  (The spare factor q keeps the
+        zero polynomial, n = -1, on the same path.)
+        """
+        d = lcm(*[c.denominator for c in self.coeffs])
+        p, q = x.numerator, x.denominator
+        acc, qn = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            qn *= q
+            acc = acc * p + c.numerator * (d // c.denominator) * qn
+        return Rational(acc, d * qn)
 
     # -- serialization -----------------------------------------------------
 

@@ -98,11 +98,11 @@ class CohClass:
         q = list(q)
         if len(p) > n or len(q) > n:
             raise ValueError("coefficients exceed normal-form degree bound; reduce first")
-        p += [Rational(0)] * (n - len(p))
-        q += [Rational(0)] * (n - len(q))
+        # only the supplied entries are coerced; the padding shares one zero
+        zero = Rational(0)
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "p", tuple(Rational(c) for c in p))
-        object.__setattr__(self, "q", tuple(Rational(c) for c in q))
+        object.__setattr__(self, "p", tuple(Rational(c) for c in p) + (zero,) * (n - len(p)))
+        object.__setattr__(self, "q", tuple(Rational(c) for c in q) + (zero,) * (n - len(q)))
 
     @classmethod
     def _trusted(cls, spec: RingSpec, p: tuple, q: tuple) -> "CohClass":

@@ -5,13 +5,22 @@ coefficient list always has exactly N+1 rationals (``int`` or ``Fraction``)
 and no operation ever reports a coefficient beyond the truncation.  Products
 run on :func:`~etainv.coeffcore.convolve_into`.  Mixed-order arithmetic
 truncates to the minimum order.
+
+The two triangular recurrences, :meth:`PowerSeries.__pow__` and
+:meth:`PowerSeries.divide`, run on integers too.  Each input is cleared once
+(:func:`~etainv.coeffcore._cleared`); the outputs found so far are kept as
+integer numerators over one running denominator, the lcm of their
+denominators (:func:`_append_over`); so the sum behind each new coefficient
+is integer multiply-adds, and the coefficient is one ``Fraction``, reduced
+by one gcd.  Every output stays in lowest terms, so the running denominator
+is no larger than the lcm of the outputs' own denominators.
 """
 
 from __future__ import annotations
 
 import math
 
-from .coeffcore import Rational, convolve_into
+from .coeffcore import Rational, _cleared, convolve_into
 
 __all__ = [
     "PowerSeries",
@@ -44,10 +53,19 @@ class OrderExceeded(IndexError):
     """Coefficient request beyond the truncation order."""
 
 
-def _inv_unit(c):
-    if not c:
-        raise NonUnitConstantTerm("constant term is zero")
-    return Rational(1) / c
+def _append_over(nums: list, den: int, q) -> int:
+    """Append the rational q to nums, integer numerators over den; return the new den.
+
+    When q's denominator does not divide den, every entry of nums is first
+    rescaled to the lcm of the two, which becomes the new den.
+    """
+    d = q.denominator
+    if den % d:
+        scale = d // math.gcd(den, d)
+        nums[:] = [x * scale for x in nums]
+        den *= scale
+    nums.append(q.numerator * (den // d))
+    return den
 
 
 class PowerSeries:
@@ -158,6 +176,11 @@ class PowerSeries:
         g_m = (1/(m f_0)) * sum_{j=1..m} ((n+1) j - m) f_j g_{m-j}.
         A series whose lowest nonzero term is f_v x^v is raised as
         x^{nv} (f/x^v)**n; f_v is nonzero, so a unit of Q.
+
+        f/x^v is cleared once, f_j = a_j/D, and g_0..g_{m-1} are kept as
+        integers G_i over one running denominator L, so the D cancels and
+        g_m = sum_j ((n+1) j - m) a_j G_{m-j} / (m a_0 L): an integer sum and
+        one Fraction per coefficient.
         """
         if n < 0:
             raise ValueError("negative series power; use divide")
@@ -167,32 +190,52 @@ class PowerSeries:
         v = next((i for i, c in enumerate(self.coeffs) if c), None)
         if v is None or n * v > order:
             return PowerSeries(self.variable, (), order)
-        f = self.coeffs[v:]
-        f0_inv = _inv_unit(f[0])
+        top = order - n * v
+        f = self.coeffs[v : v + top + 1]
+        _, a_terms = _cleared(f)
+        (_, a0), *a_terms = a_terms
         g = [f[0] ** n]
-        for m in range(1, order - n * v + 1):
+        nums = [g[0].numerator]
+        den = g[0].denominator
+        for m in range(1, top + 1):
             acc = 0
-            for j in range(1, m + 1):
-                if f[j] and g[m - j]:
-                    acc = acc + ((n + 1) * j - m) * f[j] * g[m - j]
-            g.append(acc * f0_inv / m)
+            for j, a in a_terms:
+                if j > m:
+                    break
+                acc += ((n + 1) * j - m) * a * nums[m - j]
+            g.append(Rational(acc, m * a0 * den))
+            den = _append_over(nums, den, g[m])
         return PowerSeries(self.variable, [0] * (n * v) + g, order)
 
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """h with h * other = self to the common truncation order.
 
-        Requires other(0) to be nonzero.
+        Requires other(0) to be nonzero.  Both operands are cleared once,
+        self_m = c_m/C and other_j = b_j/B, and h_0..h_{m-1} are kept as
+        integers H_i over one running denominator L, so
+        h_m = (c_m B L - C sum_{j>=1} b_j H_{m-j}) / (C L b_0): an integer
+        sum and one Fraction per coefficient.
         """
         n = self._align(other)
-        g0_inv = _inv_unit(other.coeffs[0])
+        if not other.coeffs[0]:
+            raise NonUnitConstantTerm("constant term is zero")
+        c_den, c_terms = _cleared(self.coeffs[: n + 1])
+        b_den, b_terms = _cleared(other.coeffs[: n + 1])
+        (_, b0), *b_terms = b_terms
+        cb = [0] * (n + 1)
+        for m, c in c_terms:
+            cb[m] = c * b_den
         out = []
+        nums = []
+        den = 1
         for m in range(n + 1):
-            acc = self.coeffs[m]
-            for i in range(m):
-                gi = other.coeffs[m - i]
-                if gi and out[i]:
-                    acc = acc - out[i] * gi
-            out.append(acc * g0_inv)
+            acc = 0
+            for j, b in b_terms:
+                if j > m:
+                    break
+                acc += b * nums[m - j]
+            out.append(Rational(cb[m] * den - c_den * acc, c_den * den * b0))
+            den = _append_over(nums, den, out[m])
         return PowerSeries(self.variable, out, n)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":

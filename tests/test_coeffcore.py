@@ -207,3 +207,36 @@ def test_convolve_into_scales_each_numerator_to_the_shared_denominator():
         0,
     ]
     assert all(isinstance(x, Rational) for x in out)
+
+
+def _fraction_horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(kernel_coeffs, max_size=9),
+    st.one_of(
+        st.integers(-(10**20), 10**20),
+        rationals,
+        st.builds(Rational, st.integers(-(10**30), 10**30), st.sampled_from(LARGE_PRIMES)),
+    ),
+)
+def test_unipoly_call_is_fraction_horner(coeffs, x):
+    # the homogenised integer Horner against Horner on Fractions
+    p = UniPoly("s", coeffs)
+    value = p(x)
+    assert value == _fraction_horner(p.coeffs, x)
+    assert isinstance(value, Rational)
+
+
+@pytest.mark.parametrize("x", [0, 1, 3, -7, Rational(-5, 3), Rational(1, 2**89 - 1), Rational(0)])
+def test_unipoly_call_at_every_kind_of_point(x):
+    p = UniPoly("s", [Rational(1, 3), 0, Rational(-7, 2), Rational(5, 2**61 - 1), 4])
+    assert p(x) == _fraction_horner(p.coeffs, x)
+    assert UniPoly("s", [])(x) == 0
+    assert UniPoly("s", [Rational(-9, 4)])(x) == Rational(-9, 4)
+    assert UniPoly("s", [0, 0, Rational(2, 3)])(x) == Rational(2, 3) * x * x

@@ -162,6 +162,71 @@ def test_reports_and_a1_poly_share_one_series_cache_entry():
     assert invariants._inv_two_cosh.cache_info().misses == 1
 
 
+# -- series-free oracles for the two cached series ---------------------------
+
+
+def _bernoulli_over(n_max: int):
+    """(L, [L*B_0, ..., L*B_n_max]) by the Akiyama-Tanigawa algorithm, in integers.
+
+    Kaneko, J. Integer Seq. 3 (2000): a_m = 1/(m+1), then
+    a_{j-1} = j (a_{j-1} - a_j) for j = m..1, and B_m = a_0 (with B_1 = +1/2).
+    Every step is an integer combination, so the a_j stay integers over
+    L = lcm(1..n_max+1).
+    """
+    L = math.lcm(*range(1, n_max + 2))
+    a, out = [], []
+    for m in range(n_max + 1):
+        a.append(L // (m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        out.append(a[0])
+    return L, out
+
+
+def _secant_numbers(m_max: int):
+    """|E_0|, |E_2|, ..., |E_{2 m_max}| from the Seidel boustrophedon.
+
+    Row n is E(n, 0) = 0 (n > 0), E(n, j) = E(n, j-1) + E(n-1, n-j); its last
+    entry is the zigzag number A_n, and A_{2m} = |E_{2m}|
+    (Millar, Sloane & Young, JCTA 1996).
+    """
+    row, zigzag = [1], [1]
+    for n in range(1, 2 * m_max + 1):
+        new = [0]
+        for j in range(1, n + 1):
+            new.append(new[j - 1] + row[n - j])
+        row = new
+        zigzag.append(row[n])
+    return zigzag[::2]
+
+
+def test_ahat_factor_is_the_bernoulli_closed_form():
+    # F_n = (2^{1-n} - 1) B_n / n! = (2 - 2^n) (L B_n) / (L 2^n n!), compared crosswise
+    order = 128
+    f = invariants._ahat_factor(order)
+    L, lb = _bernoulli_over(order)
+    assert lb[:3] == [L, L // 2, L // 6]
+    for n in range(order + 1):
+        num, den = (2 - 2**n) * lb[n], L * 2**n * math.factorial(n)
+        assert f.coeffs[n].numerator * den == num * f.coeffs[n].denominator, n
+
+
+def test_inv_two_cosh_is_the_euler_closed_form():
+    # G_{2m} = E_{2m} / (2 * 4^m * (2m)!) with E_{2m} = (-1)^m |E_{2m}|; odd G_n vanish
+    order = 128
+    g = invariants._inv_two_cosh(order)
+    secant = _secant_numbers(order // 2)
+    assert secant[:4] == [1, 1, 5, 61]
+    assert (g.coeffs[2], g.coeffs[4]) == (Rational(-1, 16), Rational(5, 768))
+    for n in range(order + 1):
+        if n % 2:
+            assert not g.coeffs[n], n
+            continue
+        m = n // 2
+        num, den = (-1) ** m * secant[m], 2 * 4**m * math.factorial(n)
+        assert g.coeffs[n].numerator * den == num * g.coeffs[n].denominator, n
+
+
 # -- A1 paths ----------------------------------------------------------------
 
 

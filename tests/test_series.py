@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from etainv.coeffcore import Rational
+from etainv.invariants import _ahat_factor
 from etainv.series import (
     NonUnitConstantTerm,
     NonzeroConstantInner,
@@ -17,6 +18,13 @@ from etainv.series import (
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 ).map(lambda f: Rational(f.numerator, f.denominator))
+
+# pairwise coprime Mersenne primes, so the running denominator of the
+# integer recurrences is rescaled whenever a new one appears
+LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
+big_rationals = st.builds(
+    Rational, st.integers(-(10**30), 10**30), st.sampled_from(LARGE_PRIMES + (1, 6))
+)
 
 
 def series8(coeffs):
@@ -79,6 +87,23 @@ def test_divide_round_trip():
 def test_divide_nonunit_raises():
     with pytest.raises(NonUnitConstantTerm):
         series8([1]).divide(series8([0, 1]))
+    big = [Rational(3, LARGE_PRIMES[2]), Rational(-1, LARGE_PRIMES[0])]
+    with pytest.raises(NonUnitConstantTerm):
+        PowerSeries("x", big, 129).divide(PowerSeries("x", [0] + big, 129))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.lists(big_rationals, min_size=1, max_size=12),
+    big_rationals.filter(bool),
+    st.lists(big_rationals, max_size=12),
+)
+def test_divide_times_divisor_is_dividend_at_order_129(num, head, tail):
+    f = PowerSeries("x", num, 129)
+    g = PowerSeries("x", [head] + tail, 129)
+    h = f.divide(g)
+    assert h * g == f
+    assert all(isinstance(c, Rational) for c in h.coeffs)
 
 
 def test_compose_requires_nilpotent_inner():
@@ -160,6 +185,41 @@ def test_pow_matches_repeated_multiplication(zeros, tail, order, n):
     # leading zeros exercise the x^{nv} factoring of a zero constant term
     f = PowerSeries("x", [0] * zeros + tail, order)
     assert f ** n == _repeated_mul(f, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3),
+    big_rationals.filter(bool),
+    st.lists(st.one_of(st.just(0), big_rationals), max_size=10),
+    st.integers(min_value=0, max_value=16),
+    st.integers(min_value=1, max_value=7),
+)
+@example(0, Rational(-7, 3), [Rational(1, LARGE_PRIMES[0]), 0, Rational(5, LARGE_PRIMES[1])], 12, 5)
+@example(2, Rational(-3, LARGE_PRIMES[2]), [Rational(10**30, LARGE_PRIMES[0])], 16, 7)
+def test_pow_with_large_fractions_matches_repeated_multiplication(zeros, lead, tail, order, n):
+    # a nonzero lowest term lead at valuation zeros, possibly negative and not an integer
+    f = PowerSeries("x", [0] * zeros + [lead] + tail, order)
+    assert f ** n == _repeated_mul(f, n)
+
+
+def _binary_pow(f, n):
+    out = PowerSeries.constant(f.variable, 1, f.order)
+    square = f
+    while n:
+        if n & 1:
+            out = out * square
+        square = square * square
+        n >>= 1
+    return out
+
+
+@pytest.mark.parametrize("k", [16, 64])
+def test_pow_of_ahat_factor_is_binary_exponentiation(k):
+    # the powers that ahat_Bc (2k - 1) and a1_poly_in_s (2k) raise
+    f = _ahat_factor(2 * k)
+    for n in (2 * k - 1, 2 * k):
+        assert f ** n == _binary_pow(f, n)
 
 
 def test_pow_past_truncation_is_zero():
