@@ -12,7 +12,10 @@ coefficient, so a product costs one gcd per coefficient rather than one per
 term.  The cohomology ring calls its two steps, ``_cleared`` and
 ``_int_convolve``, directly: a ``CohClass`` product clears each factor once
 for all three of its convolutions, and series evaluation and the product
-integral clear each operand once for all their sums.
+integral clear each operand once for all their sums.  The series powers and
+division clear their inputs with ``_cleared`` too, and ``UniPoly`` evaluation
+runs Horner's rule on the cleared coefficients: each builds one rational
+per result coefficient, or per value.
 """
 
 from __future__ import annotations
