@@ -9,13 +9,14 @@ lowest terms with a positive denominator.
 once, with the lcm of that operand's denominators, accumulates the products
 of the integer numerators, and builds one rational per nonzero output
 coefficient, so a product costs one gcd per coefficient rather than one per
-term.  The cohomology ring calls its two steps, ``_cleared`` and
-``_int_convolve``, directly: a ``CohClass`` product clears each factor once
-for all three of its convolutions, and series evaluation and the product
-integral clear each operand once for all their sums.  The series powers and
-division clear their inputs with ``_cleared`` too, and ``UniPoly`` evaluation
-runs Horner's rule on the cleared coefficients: each builds one rational
-per result coefficient, or per value.
+term.  A ``CohClass`` keeps its coefficients as integer numerators over one
+denominator, so its product needs no clearing; series evaluation in the
+ring clears only the series, with ``_cleared``, and convolves in integers
+with ``_int_convolve``.  The series powers and division clear their inputs
+with ``_cleared`` too, each building one rational per result coefficient.
+``UniPoly`` evaluation clears the coefficients once and runs Horner's rule
+in integers, one rational per value; ``find_good_s`` clears once for all
+its candidates.
 """
 
 from __future__ import annotations
@@ -241,21 +242,30 @@ class UniPoly:
         return UniPoly._trusted(self.variable, tuple(c / scalar for c in self.coeffs))
 
     def __call__(self, x):
-        """Evaluate by Horner's rule at a rational point, in integers.
+        """The value at a rational point x, an int or Fraction (see _evaluator)."""
+        return self._evaluator()(x)
 
-        The coefficients are cleared once, c_i = a_i/D, and x = p/q is
-        homogenised: for degree n the value is
+    def _evaluator(self):
+        """The map x -> self(x), with the coefficients cleared once for every x.
+
+        Horner's rule in integers: the coefficients are cleared, c_i = a_i/D,
+        and x = p/q is homogenised: for degree n the value is
         sum_i a_i p^i q^(n+1-i) / (D q^(n+1)), the sum by Horner's rule over
         integers and one Fraction at the end.  (The spare factor q keeps the
         zero polynomial, n = -1, on the same path.)
         """
         d = lcm(*[c.denominator for c in self.coeffs])
-        p, q = x.numerator, x.denominator
-        acc, qn = 0, 1
-        for c in reversed(self.coeffs):
-            qn *= q
-            acc = acc * p + c.numerator * (d // c.denominator) * qn
-        return Rational(acc, d * qn)
+        nums = [c.numerator * (d // c.denominator) for c in reversed(self.coeffs)]
+
+        def value_at(x):
+            p, q = x.numerator, x.denominator
+            acc, qn = 0, 1
+            for a in nums:
+                qn *= q
+                acc = acc * p + a * qn
+            return Rational(acc, d * qn)
+
+        return value_at
 
     # -- serialization -----------------------------------------------------
 

@@ -1,30 +1,32 @@
 """Exact arithmetic in the rational cohomology ring Q[u,v]/(v^2, u^{2k} - c*u^{2k-1}*v).
 
-Classes are kept in the normal form p(u) + v*q(u) with deg p, deg q <= 2k-1;
-reduction by the defining relations happens eagerly in every operation, so
-equality is a syntactic check.  u and v both sit in degree 2 and the top
-nonzero degree is 4k, spanned by u^{2k-1}*v.
+Classes are kept in the normal form (P(u) + v*Q(u)) / den with integer
+coefficient tuples P, Q of length 2k, den > 0 and gcd(den, *P, *Q) = 1.
+Reduction by the defining relations happens eagerly in every operation and
+the common factor is divided out once per result, so equality compares
+integers.  u and v both sit in degree 2 and the top nonzero degree is 4k,
+spanned by u^{2k-1}*v.
 
-A product builds only the terms that can survive reduction: p1*p2 up to
-u^{2k} (which folds into c*u^{2k-1}*v) and p1*q2 + q1*p2 up to u^{2k-1}*v.
-It runs coeffcore's integer kernel directly: each of p1, q1, p2, q2 is
-cleared of denominators once and p1*q2 + q1*p2 is summed in integers, one
-rational per coefficient.  ``**`` is the package's one binary
-exponentiation.
+A product is three integer convolutions over den1*den2 that build only the
+terms that can survive reduction: P1*P2 up to u^{2k} (which folds into
+c*u^{2k-1}*v) and P1*Q2 + Q1*P2 up to u^{2k-1}*v.  No rational is built per
+coefficient; the rational coefficients p and q are read on demand.  ``**``
+is the package's one binary exponentiation.
 
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f(p + v*q) as f(p) + v*q*f'(p) from the powers of the u-polynomial
 p alone, and :func:`coh_integrate_product` reads the integral of a product
-from its two factors in O(k) without forming it.  Both take the product's
-integer path: each operand is cleared of denominators once, the sums run in
-integers, and each result coefficient is one rational.  No k above MAX_K
+from its two factors in O(k) without forming it.  Both run on the integer
+numerators: f is cleared of denominators once, the sums run in integers,
+and the result is one canonical class or one rational.  No k above MAX_K
 (64) is accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .coeffcore import (
     Rational,
@@ -84,41 +86,64 @@ class RingSpec:
 
 
 class CohClass:
-    """Normal-form ring element p(u) + v*q(u).
+    """Normal-form ring element (P(u) + v*Q(u)) / den.
 
-    p and q are stored as coefficient tuples of length 2k indexed by the
-    u-degree; immutable.
+    P and Q are tuples of 2k integers indexed by the u-degree, den > 0 and
+    gcd(den, *P, *Q) == 1, so the form is canonical and equality compares
+    integers.  p and q give the coefficients as rationals, built on demand.
+    Immutable.
     """
 
-    __slots__ = ("spec", "p", "q")
+    __slots__ = ("spec", "den", "P", "Q")
 
     def __init__(self, spec: RingSpec, p=(), q=()):
         n = 2 * spec.k
-        p = list(p)
-        q = list(q)
+        # ints are their own numerators: only other entries become Rationals
+        p = [c if isinstance(c, int) else Rational(c) for c in p]
+        q = [c if isinstance(c, int) else Rational(c) for c in q]
         if len(p) > n or len(q) > n:
             raise ValueError("coefficients exceed normal-form degree bound; reduce first")
-        # only the supplied entries are coerced; the padding shares one zero
-        zero = Rational(0)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "p", tuple(Rational(c) for c in p) + (zero,) * (n - len(p)))
-        object.__setattr__(self, "q", tuple(Rational(c) for c in q) + (zero,) * (n - len(q)))
+        den = lcm(*[c.denominator for c in p], *[c.denominator for c in q])
+        self._assign(
+            spec,
+            den,
+            tuple(c.numerator * (den // c.denominator) for c in p) + (0,) * (n - len(p)),
+            tuple(c.numerator * (den // c.denominator) for c in q) + (0,) * (n - len(q)),
+        )
 
     @classmethod
-    def _trusted(cls, spec: RingSpec, p: tuple, q: tuple) -> "CohClass":
-        """Wrap tuples that are already length 2k and hold only Rational values.
+    def _canonical(cls, spec: RingSpec, den: int, P: tuple, Q: tuple) -> "CohClass":
+        """The class (P + v*Q)/den from length-2k integer tuples and den > 0.
 
-        Ring operations produce such tuples themselves, so they skip the
-        length check and per-coefficient coercion of the public constructor.
+        Ring operations build their results here, with no per-coefficient
+        rational: the common factor of den, P and Q is divided out once.
         """
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "spec", spec)
-        object.__setattr__(obj, "p", p)
-        object.__setattr__(obj, "q", q)
-        return obj
+        return object.__new__(cls)._assign(spec, den, P, Q)
+
+    def _assign(self, spec: RingSpec, den: int, P: tuple, Q: tuple) -> "CohClass":
+        g = gcd(den, *P, *Q)
+        if g != 1:
+            den //= g
+            P = tuple(x // g for x in P)
+            Q = tuple(x // g for x in Q)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "Q", Q)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("CohClass is immutable")
+
+    @property
+    def p(self) -> tuple:
+        """The u-part coefficients as Rationals."""
+        return tuple(Rational(x, self.den) for x in self.P)
+
+    @property
+    def q(self) -> tuple:
+        """The v-part coefficients as Rationals."""
+        return tuple(Rational(x, self.den) for x in self.Q)
 
     # -- constructors ------------------------------------------------------
 
@@ -150,55 +175,34 @@ class CohClass:
         Consequently u^{2k}*v = 0 and u^m = 0 for m > 2k.
         """
         n = 2 * spec.k
-        zero = Rational(0)
-        p = [Rational(c) for c in p_raw]
-        q = [Rational(c) for c in q_raw]
-        p += [zero] * (n - len(p))
-        q += [zero] * (n - len(q))
-        return cls._reduce_padded(spec, p, q)
-
-    @classmethod
-    def _reduce_padded(cls, spec: RingSpec, p: list, q: list) -> "CohClass":
-        """reduce() for Rational lists already at least 2k long."""
-        n = 2 * spec.k
-        q = q[:n]
+        p = list(p_raw)[: n + 1]
+        q = list(q_raw)[:n]
+        q += [0] * (n - len(q))
         # only u^{2k} survives reduction into the v-part
-        if len(p) > n and p[n]:
-            q[n - 1] = q[n - 1] + p[n] * spec.c
-        return cls._trusted(spec, tuple(p[:n]), tuple(q))
+        if len(p) > n:
+            q[n - 1] = q[n - 1] + spec.c * p.pop()
+        return cls(spec, p, q)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.p) and not any(self.q)
+        return not any(self.P) and not any(self.Q)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def constant_part(self):
-        return self.p[0]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohClass):
             return NotImplemented
-        return self.spec == other.spec and self.p == other.p and self.q == other.q
+        return (
+            self.spec == other.spec
+            and self.den == other.den
+            and self.P == other.P
+            and self.Q == other.Q
+        )
 
     def __hash__(self):
-        return hash((self.spec, self.p, self.q))
-
-    def graded_parts(self) -> dict[int, "CohClass"]:
-        """Decompose into components of pure cohomological degree."""
-        out: dict[int, CohClass] = {}
-        for i, c in enumerate(self.p):
-            if c:
-                cur = out.setdefault(2 * i, CohClass.zero(self.spec))
-                out[2 * i] = cur + CohClass(self.spec, [0] * i + [c])
-        for i, c in enumerate(self.q):
-            if c:
-                deg = 2 * i + 2
-                cur = out.setdefault(deg, CohClass.zero(self.spec))
-                out[deg] = cur + CohClass(self.spec, (), [0] * i + [c])
-        return out
+        return hash((self.spec, self.den, self.P, self.Q))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -208,24 +212,32 @@ class CohClass:
 
     def __add__(self, other: "CohClass") -> "CohClass":
         self._check(other)
-        return CohClass._trusted(
+        den = lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
+        return CohClass._canonical(
             self.spec,
-            tuple(a + b for a, b in zip(self.p, other.p)),
-            tuple(a + b for a, b in zip(self.q, other.q)),
+            den,
+            tuple(a * f1 + b * f2 for a, b in zip(self.P, other.P)),
+            tuple(a * f1 + b * f2 for a, b in zip(self.Q, other.Q)),
         )
 
     def __neg__(self) -> "CohClass":
-        return CohClass._trusted(
-            self.spec, tuple(-c for c in self.p), tuple(-c for c in self.q)
+        return CohClass._canonical(
+            self.spec, self.den, tuple(-x for x in self.P), tuple(-x for x in self.Q)
         )
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + (-other)
 
     def scale(self, c) -> "CohClass":
-        c = Rational(c)
-        return CohClass._trusted(
-            self.spec, tuple(c * a for a in self.p), tuple(c * a for a in self.q)
+        if not isinstance(c, int):
+            c = Rational(c)
+        a = c.numerator
+        return CohClass._canonical(
+            self.spec,
+            self.den * c.denominator,
+            tuple(a * x for x in self.P),
+            tuple(a * x for x in self.Q),
         )
 
     def __mul__(self, other):
@@ -234,20 +246,24 @@ class CohClass:
         self._check(other)
         n = 2 * self.spec.k
         # (p1 + v q1)(p2 + v q2) = p1 p2 + v (p1 q2 + q1 p2)   [v^2 = 0];
-        # u^m = 0 for m > 2k and u^{2k} v = 0, so nothing past these lengths survives.
-        # Each of p1, q1, p2, q2 is cleared once, and p1 q2 + q1 p2 is summed in
-        # integers over one denominator, one Rational per coefficient
-        (dp1, p1), (dq1, q1) = _cleared(self.p), _cleared(self.q)
-        (dp2, p2), (dq2, q2) = _cleared(other.p), _cleared(other.q)
-        zero = Rational(0)
-        d = dp1 * dp2
-        pp = [Rational(c, d) if c else zero for c in _int_convolve(n + 1, p1, p2)]
-        d1, d2 = dp1 * dq2, dq1 * dp2
-        d = lcm(d1, d2)
-        f1, f2 = d // d1, d // d2
-        vq = [x * f1 + y * f2 for x, y in zip(_int_convolve(n, p1, q2), _int_convolve(n, q1, p2))]
-        vq = [Rational(c, d) if c else zero for c in vq]
-        return CohClass._reduce_padded(self.spec, pp, vq)
+        # u^m = 0 for m > 2k and u^{2k} v = 0, so nothing past these lengths
+        # survives.  The numerators multiply over den1*den2.
+        P1, Q1, P2, Q2 = self.P, self.Q, other.P, other.Q
+        pp = [0] * (n + 1)
+        vq = [0] * n
+        for i, x in enumerate(P1):
+            if x:
+                for m, y in enumerate(P2[: n + 1 - i], i):
+                    pp[m] += x * y
+                for m, y in enumerate(Q2[: n - i], i):
+                    vq[m] += x * y
+            x = Q1[i]
+            if x:
+                for m, y in enumerate(P2[: n - i], i):
+                    vq[m] += x * y
+        # u^{2k} folds into c*u^{2k-1}*v
+        vq[n - 1] += self.spec.c * pp.pop()
+        return CohClass._canonical(self.spec, self.den * other.den, tuple(pp), tuple(vq))
 
     __rmul__ = __mul__
 
@@ -291,15 +307,15 @@ def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:
     p = u*r and p^m = u^m * r^m, so only r^m is formed, to the 2k + 1 - m
     terms that survive below u^{2k+1}; u^{2k} then folds into c*u^{2k-1}*v.
 
-    One integer path for every class: f is cleared once (f_m = F_m/d_f), r
-    once (r = R/d_r) and q once, R^m is formed in integers, and f(p) and
-    f'(p) are accumulated as numerators over the one denominator
-    d_f*d_r^{2k}.  Each output coefficient is then one Rational.  For a
-    degree-2 class R is one integer and the evaluation costs O(k) integer
-    products.  Requires order(f) >= 2k so the truncation cannot hide a
-    surviving term.
+    One integer path for every class: f is cleared once (f_m = F_m/d_f), and
+    r = R/den and q = Q/den are read from the class's integer numerators.
+    R^m is formed in integers, and f(p) and f'(p) are accumulated as
+    numerators over the one denominator d_f*den^{2k}; the result is built
+    once, through the canonical constructor.  For a degree-2 class R is one
+    integer and the evaluation costs O(k) integer products.  Requires
+    order(f) >= 2k so the truncation cannot hide a surviving term.
     """
-    if x.constant_part():
+    if x.P[0]:
         raise NonNilpotentArgument("class has a nonzero constant part")
     n = 2 * x.spec.k
     if f.order < n:
@@ -307,13 +323,14 @@ def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:
             f"series order {f.order} < 2k = {n}; higher terms would be lost"
         )
     d_f, f_terms = _cleared(f.coeffs[: n + 1])
-    d_r, r = _cleared(x.p[1:])
-    d_q, q = _cleared(x.q)
+    d_x = x.den
+    r = [(i, y) for i, y in enumerate(x.P[1:]) if y]
+    q = [(i, y) for i, y in enumerate(x.Q) if y]
     coeff = dict(f_terms)
-    # lift[m] = d_r^(2k - m) takes a term over d_f*d_r^m to d_f*d_r^(2k)
+    # lift[m] = d_x^(2k - m) takes a term over d_f*d_x^m to d_f*d_x^(2k)
     lift = [1]
     for _ in range(n):
-        lift.append(lift[-1] * d_r)
+        lift.append(lift[-1] * d_x)
     lift.reverse()
     fp = [0] * (n + 1)  # f(p) numerators, up to u^{2k}
     dfp = [0] * n  # f'(p) numerators, up to u^{2k-1}
@@ -335,35 +352,30 @@ def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:
             for i, y in r_pow:
                 fp[m + i] += w * y
     vq = _int_convolve(n, q, [(i, y) for i, y in enumerate(dfp) if y])
-    # u^{2k} folds into c*u^{2k-1}*v; the v-part's denominator carries d_q too
-    vq[n - 1] += fp[n] * x.spec.c * d_q
-    zero = Rational(0)
-    d = d_f * lift[0]
-    p = tuple(Rational(y, d) if y else zero for y in fp[:n])
-    d *= d_q
-    return CohClass._trusted(x.spec, p, tuple(Rational(y, d) if y else zero for y in vq))
+    # over d_f*d_x^(2k+1), the v-part's denominator; u^{2k} folds into c*u^{2k-1}*v
+    vq[n - 1] += fp.pop() * x.spec.c * d_x
+    return CohClass._canonical(
+        x.spec, d_f * lift[0] * d_x, tuple(y * d_x for y in fp), tuple(vq)
+    )
 
 
 def coh_integrate(a: CohClass):
     """Integration over the 4k-manifold: the coefficient of u^{2k-1}*v."""
-    return a.q[2 * a.spec.k - 1]
+    return Rational(a.Q[-1], a.den)
 
 
 def coh_integrate_product(a: CohClass, b: CohClass):
     """coh_integrate(a * b) in O(k), without forming the product.
 
     The u^{2k-1}*v coefficient of (p1 + v q1)(p2 + v q2) is
-    [u^{2k-1}](p1 q2 + q1 p2) + c * [u^{2k}](p1 p2).  Each of p1, q1, p2, q2
-    is cleared once; the three terms are integer dot products, one Rational
-    each.
+    [u^{2k-1}](p1 q2 + q1 p2) + c * [u^{2k}](p1 p2): three integer dot
+    products of the numerators, over den_a*den_b, and one Rational.
     """
     a._check(b)
-    n = 2 * a.spec.k
-    (dp1, p1), (dq1, q1) = _cleared(a.p), _cleared(a.q)
-    (dp2, p2), (dq2, q2) = _cleared(b.p), _cleared(b.q)
-    p2, q2 = dict(p2), dict(q2)
-    return (
-        Rational(sum(x * q2.get(n - 1 - i, 0) for i, x in p1), dp1 * dq2)
-        + Rational(sum(x * p2.get(n - 1 - i, 0) for i, x in q1), dq1 * dp2)
-        + Rational(a.spec.c * sum(x * p2.get(n - i, 0) for i, x in p1), dp1 * dp2)
+    P1, Q1, P2, Q2 = a.P, a.Q, b.P, b.Q
+    return Rational(
+        sum(map(mul, P1, Q2[::-1]))
+        + sum(map(mul, Q1, P2[::-1]))
+        + a.spec.c * sum(map(mul, P1[1:], P2[:0:-1])),
+        a.den * b.den,
     )

@@ -295,7 +295,14 @@ def _ring_integrals(spec: RingSpec, s: int):
     ahat = ahat_Bc(spec)
     at_one = _sech_factor(spec, s, 1)
     fold = _inv_two_cosh(n).coeffs[n] * (spec.c * s**n)
-    at_zero = CohClass._trusted(spec, at_one.p, (Rational(0),) * (n - 1) + (fold,))
+    # over the common denominator at_one.den * fold.denominator
+    d = fold.denominator
+    at_zero = CohClass._canonical(
+        spec,
+        at_one.den * d,
+        tuple(x * d for x in at_one.P),
+        (0,) * (n - 1) + (fold.numerator * at_one.den,),
+    )
     return coh_integrate_product(ahat, at_zero), coh_integrate_product(ahat, at_one)
 
 
@@ -455,8 +462,9 @@ def find_good_s(k: int, s_candidates) -> list[int]:
         check_param_bound("s", s)
         if s == 0 or s % 2 != 0:
             raise InvalidParams(f"candidate s={s} is not a nonzero even integer")
-    poly = a1_poly_in_s(k)
-    return [s for s in s_candidates if poly(Rational(s))]
+    # A1(s) is cleared of denominators once for every candidate
+    value_at = a1_poly_in_s(k)._evaluator()
+    return [s for s in s_candidates if value_at(s)]
 
 
 # ---------------------------------------------------------------------------

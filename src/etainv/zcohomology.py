@@ -193,11 +193,14 @@ def gysin_step_matrix_via_ring(spec: RingSpec, s: int, t: int, l: int) -> IntMat
     ul = CohClass(spec, [0] * l + [1])
     img_vu = e * vu
     img_ul = e * ul
+    for img in (img_vu, img_ul):
+        if img.den != 1:
+            raise ValueError(f"cup product with {s}u + {t}v has non-integral entries: {img}")
     # target basis (v*u^l, u^{l+1})
     return IntMatrix.from_lists(
         [
-            [int(img_vu.q[l]), int(img_ul.q[l])],
-            [int(img_vu.p[l + 1]), int(img_ul.p[l + 1])],
+            [img_vu.Q[l], img_ul.Q[l]],
+            [img_vu.P[l + 1], img_ul.P[l + 1]],
         ]
     )
 

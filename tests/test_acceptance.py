@@ -11,7 +11,7 @@ import random
 from etainv.cohring import CohClass, RingSpec
 from etainv.coeffcore import Rational
 from etainv.series import PowerSeries
-from etainv.verify import PAPER_SUITE
+from etainv.verify import PAPER_SUITE, _check_ring_engine
 
 
 def _suite_test(number: int, name: str, check):
@@ -42,6 +42,11 @@ def test_series_compose_and_revert_both_ways():
         assert g.revert().compose(g) == identity, trial
 
 
+def _degrees(x):
+    """The cohomological degrees of x's nonzero components: u^i in 2i, u^i*v in 2i + 2."""
+    return {2 * i for i, c in enumerate(x.p) if c} | {2 * i + 2 for i, c in enumerate(x.q) if c}
+
+
 def test_ring_engine_randomized_with_grading():
     rng = random.Random(20241)
     checks = 0
@@ -65,6 +70,28 @@ def test_ring_engine_randomized_with_grading():
                 j = rng.randrange(2 * k)
                 ha = CohClass(spec, [0] * i + [rng.randint(1, 5)])
                 hb = CohClass(spec, (), [0] * j + [rng.randint(1, 5)])
-                assert set((ha * hb).graded_parts()) <= {2 * i + 2 * j + 2}, (k, c, i, j)
+                assert _degrees(ha * hb) <= {2 * i + 2 * j + 2}, (k, c, i, j)
                 checks += 1
     assert checks == 1000
+
+
+def test_ring_engine_catches_a_product_without_the_fold(monkeypatch):
+    # the reference product over Q, with u^{2k} dropped instead of folded
+    # into c*u^{2k-1}*v
+    def unfolded(self, other):
+        if not isinstance(other, CohClass):
+            return self.scale(other)
+        n = 2 * self.spec.k
+        p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+        p = [sum(p1[i] * p2[m - i] for i in range(m + 1)) for m in range(n)]
+        q = [
+            sum(p1[i] * q2[m - i] + q1[i] * p2[m - i] for i in range(m + 1))
+            for m in range(n)
+        ]
+        return CohClass(self.spec, p, q)
+
+    assert _check_ring_engine()[0]
+    monkeypatch.setattr(CohClass, "__mul__", unfolded)
+    ok, detail = _check_ring_engine()
+    assert not ok
+    assert detail == "ring relations fail at (k=2, c=1)"

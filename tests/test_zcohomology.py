@@ -1,6 +1,7 @@
 """Smith normal form, cokernels, and the Gysin-sequence cohomology tables."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +124,12 @@ def test_gysin_step_matrix_matches_ring_computation():
                 assert gysin_step_matrix(spec, s, t, l).to_lists() == (
                     gysin_step_matrix_via_ring(spec, s, t, l).to_lists()
                 ), (k, c, s, t, l)
+
+
+def test_gysin_step_matrix_via_ring_refuses_non_integral_entries():
+    # s = 1/2 gives the image (1/2) v u^l: an integer matrix cannot hold it
+    with pytest.raises(ValueError, match="non-integral entries"):
+        gysin_step_matrix_via_ring(RingSpec(2, 1), Fraction(1, 2), 1, 1)
 
 
 # -- tables ------------------------------------------------------------------
