@@ -98,11 +98,12 @@ class CohClass:
 
     def __init__(self, spec: RingSpec, p=(), q=()):
         n = 2 * spec.k
+        p, q = list(p), list(q)
+        if len(p) > n or len(q) > n:
+            raise ValueError("coefficients exceed normal-form degree bound; reduce first")
         # ints are their own numerators: only other entries become Rationals
         p = [c if isinstance(c, int) else Rational(c) for c in p]
         q = [c if isinstance(c, int) else Rational(c) for c in q]
-        if len(p) > n or len(q) > n:
-            raise ValueError("coefficients exceed normal-form degree bound; reduce first")
         den = lcm(*[c.denominator for c in p], *[c.denominator for c in q])
         self._assign(
             spec,
