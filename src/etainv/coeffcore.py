@@ -1,22 +1,26 @@
-"""Exact rational and univariate polynomial arithmetic, and the one
-truncated convolution loop that every product in the package runs on.
+"""Exact rationals, the truncated convolution behind ``PowerSeries``
+products, and ``UniPoly``, the polynomial ``A1(s)``.
 
 Rationals are stdlib ``fractions.Fraction``: arbitrary precision, always in
 lowest terms with a positive denominator.
 
-:func:`convolve_into` multiplies rational coefficient sequences for
-``UniPoly`` and ``PowerSeries``.  It clears each operand's denominators
-once, with the lcm of that operand's denominators, accumulates the products
-of the integer numerators, and builds one rational per nonzero output
-coefficient, so a product costs one gcd per coefficient rather than one per
-term.  A ``CohClass`` keeps its coefficients as integer numerators over one
-denominator, so its product needs no clearing; series evaluation in the
-ring clears only the series, with ``_cleared``, and convolves in integers
-with ``_int_convolve``.  The series powers and division clear their inputs
-with ``_cleared`` too, each building one rational per result coefficient.
-``UniPoly`` evaluation clears the coefficients once and runs Horner's rule
-in integers, one rational per value; ``find_good_s`` clears once for all
-its candidates.
+:func:`convolve_into` multiplies rational coefficient sequences.  It clears
+each operand's denominators once, with the lcm of that operand's
+denominators, accumulates the products of the integer numerators, and
+builds one rational per nonzero output coefficient, so a product costs one
+gcd per coefficient rather than one per term.  The other products run their
+own integer loops: a ``CohClass`` keeps integer
+numerators over one denominator, so its product needs no clearing; series
+evaluation in the ring clears only the series, with ``_cleared``, and
+convolves with ``_int_convolve``; the series powers and division clear
+their inputs with ``_cleared``, each building one rational per result
+coefficient.
+
+``UniPoly`` is the return type of ``a1_poly_in_s``.  It is evaluated by
+Horner's rule in integers, one rational per value (``find_good_s`` clears
+the coefficients once for all its candidates), and printed with
+``to_strings``.  Its polynomial product is kept for the layer tracer in
+``perfbench/tracing.py``.
 """
 
 from __future__ import annotations
@@ -27,10 +31,8 @@ from math import lcm
 __all__ = [
     "Rational",
     "RATIONAL_BACKEND",
-    "DivisionByZero",
     "convolve_into",
     "rat_to_str",
-    "rat_from_str",
     "UniPoly",
 ]
 
@@ -38,10 +40,6 @@ __all__ = [
 Rational = Fraction
 # the name of the rational type, recorded in benchmark provenance
 RATIONAL_BACKEND = "fraction"
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Division of a rational by zero."""
 
 
 def convolve_into(out: list, a, b) -> list:
@@ -87,20 +85,6 @@ def rat_to_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rat_from_str(text: str):
-    num, _, den = text.partition("/")
-    if den == "":
-        den = "1"
-    d = int(den)
-    if d == 0:
-        raise DivisionByZero(f"zero denominator in {text!r}")
-    return Rational(int(num), d)
-
-
-def _is_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
 class UniPoly:
     """Univariate polynomial over Q, coefficients indexed by degree.
 
@@ -112,7 +96,7 @@ class UniPoly:
 
     def __init__(self, variable: str, coeffs=()):
         raw = list(coeffs)
-        if not all(_is_scalar(c) for c in raw):
+        if not all(isinstance(c, (int, Fraction)) for c in raw):
             raise TypeError("UniPoly coefficients must be rational numbers")
         cs = [Rational(c) for c in raw]
         while cs and not cs[-1]:
@@ -124,7 +108,7 @@ class UniPoly:
     def _trusted(cls, variable: str, coeffs: tuple) -> "UniPoly":
         """Wrap a tuple that is already canonical: Rational values, no trailing zero.
 
-        Arithmetic produces such tuples itself, so it skips the per-coefficient
+        A product builds such a tuple itself, so it skips the per-coefficient
         checks and coercion of the public constructor.
         """
         obj = object.__new__(cls)
@@ -135,17 +119,6 @@ class UniPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, variable: str, value) -> "UniPoly":
-        return cls(variable, (value,))
-
-    @classmethod
-    def gen(cls, variable: str) -> "UniPoly":
-        """The polynomial consisting of the variable itself."""
-        return cls(variable, (0, 1))
-
     # -- structure ---------------------------------------------------------
 
     def degree(self) -> int:
@@ -155,12 +128,6 @@ class UniPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant_value(self):
-        return self.coeffs[0] if self.coeffs else Rational(0)
-
     def __getitem__(self, degree: int):
         if 0 <= degree < len(self.coeffs):
             return self.coeffs[degree]
@@ -169,8 +136,6 @@ class UniPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
             return self.variable == other.variable and self.coeffs == other.coeffs
-        if _is_scalar(other):
-            return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self):
@@ -178,68 +143,16 @@ class UniPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        """other if it is a UniPoly in the same variable; None for any other type."""
+    def __mul__(self, other):
         if not isinstance(other, UniPoly):
-            return None
+            return NotImplemented
         if other.variable != self.variable:
             raise ValueError(f"variable mismatch: {self.variable!r} vs {other.variable!r}")
-        return other
-
-    def __add__(self, other):
-        if _is_scalar(other):
-            # only the constant term changes; it is the last one only for a constant
-            if not self.coeffs:
-                return UniPoly._trusted(self.variable, (Rational(other),) if other else ())
-            head = self.coeffs[0] + other
-            if len(self.coeffs) == 1 and not head:
-                return UniPoly._trusted(self.variable, ())
-            return UniPoly._trusted(self.variable, (head,) + self.coeffs[1:])
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [self[i] + other[i] for i in range(n)]
-        while cs and not cs[-1]:
-            cs.pop()
-        return UniPoly._trusted(self.variable, tuple(cs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly._trusted(self.variable, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if not (_is_scalar(other) or isinstance(other, UniPoly)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if _is_scalar(other):
-            # a nonzero scalar keeps the leading coefficient nonzero
-            if not other:
-                return UniPoly._trusted(self.variable, ())
-            return UniPoly._trusted(self.variable, tuple(c * other for c in self.coeffs))
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if not self or not other:
             return UniPoly._trusted(self.variable, ())
         # Q has no zero divisors, so the leading coefficient of the product is nonzero
         out = [Rational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         return UniPoly._trusted(self.variable, tuple(convolve_into(out, self.coeffs, other.coeffs)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if not _is_scalar(scalar):
-            return NotImplemented
-        if not scalar:
-            raise DivisionByZero("polynomial division by zero scalar")
-        return UniPoly._trusted(self.variable, tuple(c / scalar for c in self.coeffs))
 
     def __call__(self, x):
         """The value at a rational point x, an int or Fraction (see _evaluator)."""
@@ -272,10 +185,6 @@ class UniPoly:
     def to_strings(self) -> list[str]:
         """Ordered coefficient array of 'num/den' strings."""
         return [rat_to_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, variable: str, strings) -> "UniPoly":
-        return cls(variable, (rat_from_str(s) for s in strings))
 
     def __repr__(self):
         if not self.coeffs:

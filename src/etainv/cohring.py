@@ -80,10 +80,6 @@ class RingSpec:
         if self.c % 2 == 0:
             raise ValueError(f"c must be odd, got {self.c}")
 
-    @property
-    def top_u_degree(self) -> int:
-        return 2 * self.k - 1
-
 
 class CohClass:
     """Normal-form ring element (P(u) + v*Q(u)) / den.
@@ -147,10 +143,6 @@ class CohClass:
         return tuple(Rational(x, self.den) for x in self.Q)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, spec: RingSpec) -> "CohClass":
-        return cls(spec)
 
     @classmethod
     def one(cls, spec: RingSpec) -> "CohClass":
@@ -279,16 +271,6 @@ class CohClass:
             base = base * base
             n >>= 1
         return result
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.spec.k,
-            "c": self.spec.c,
-            "p": [rat_to_str(c) for c in self.p],
-            "q": [rat_to_str(c) for c in self.q],
-        }
 
     def __repr__(self):
         terms = []

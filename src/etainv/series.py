@@ -154,9 +154,6 @@ class PowerSeries:
             return self.shift_const(-other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self).shift_const(other)
-
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
             return self.scale(other)

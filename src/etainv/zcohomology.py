@@ -40,7 +40,10 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be positive")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        # refused rather than truncated by int()
+        if not all(isinstance(e, int) for e in self.entries):
+            raise ValueError(f"matrix entries must be integers, got {self.entries}")
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @classmethod
     def from_lists(cls, lists) -> "IntMatrix":
@@ -48,9 +51,6 @@ class IntMatrix:
         cols = len(lists[0]) if rows else 0
         flat = [e for row in lists for e in row]
         return cls(rows, cols, tuple(flat))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
     def to_lists(self) -> list[list[int]]:
         return [
@@ -67,7 +67,9 @@ class AbelianGroupDesc:
     torsion: tuple
 
     def __post_init__(self):
-        tor = tuple(int(d) for d in self.torsion)
+        if not all(isinstance(d, int) for d in self.torsion):
+            raise ValueError(f"torsion coefficients must be integers, got {self.torsion}")
+        tor = tuple(self.torsion)
         for d in tor:
             if d <= 1:
                 raise ValueError(f"torsion coefficients must be > 1, got {d}")
@@ -75,15 +77,6 @@ class AbelianGroupDesc:
             if b % a != 0:
                 raise ValueError(f"torsion chain not divisible: {a} does not divide {b}")
         object.__setattr__(self, "torsion", tor)
-
-    def order(self) -> int | None:
-        """Group order, or None if infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
 
     def to_dict(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}

@@ -13,6 +13,7 @@ import pytest
 import etainv
 from etainv import invariants
 from etainv.cli import CSV_COLUMNS, main
+from etainv.coeffcore import UniPoly
 
 
 def run_cli(capsys, *argv):
@@ -353,7 +354,12 @@ def test_work_limit_boundaries_accepted(capsys, argv):
 
 def _break_univariate_a1(monkeypatch):
     a1_poly_in_s = invariants.a1_poly_in_s
-    monkeypatch.setattr(invariants, "a1_poly_in_s", lambda k: a1_poly_in_s(k) + 1)
+
+    def broken(k):
+        poly = a1_poly_in_s(k)
+        return UniPoly("s", (poly[0] + 1,) + poly.coeffs[1:])
+
+    monkeypatch.setattr(invariants, "a1_poly_in_s", broken)
 
 
 def _break_ring_integral(monkeypatch):

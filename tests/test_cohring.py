@@ -25,7 +25,6 @@ def test_spec_validation():
         RingSpec(1, 1)
     with pytest.raises(ValueError):
         RingSpec(2, 2)
-    assert RingSpec(2, -3).top_u_degree == 3
 
 
 def test_defining_relations():
@@ -33,7 +32,7 @@ def test_defining_relations():
         spec = RingSpec(k, c)
         u = CohClass.u(spec)
         v = CohClass.v(spec)
-        assert v * v == CohClass.zero(spec)
+        assert v * v == CohClass(spec)
         assert u ** (2 * k) == (u ** (2 * k - 1) * v).scale(c)
         assert not u ** (2 * k) * v
         assert not u ** (2 * k + 1)
@@ -145,14 +144,6 @@ def test_eval_series_guards():
         coh_eval_series(ps_exp(Rational(1), 10), CohClass.one(spec))
     with pytest.raises(InsufficientOrder):
         coh_eval_series(ps_exp(Rational(1), 3), u)
-
-
-def test_to_dict_exact_strings():
-    spec = RingSpec(2, 1)
-    d = (CohClass.u(spec).scale(Rational(1, 2))).to_dict()
-    assert d["k"] == 2 and d["c"] == 1
-    assert d["p"] == ["0/1", "1/2", "0/1", "0/1"]
-    assert d["q"] == ["0/1"] * 4
 
 
 def test_immutable():

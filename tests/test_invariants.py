@@ -279,6 +279,17 @@ def test_a1_poly_matches_series_over_q_s():
         a1_poly_in_s(1)
 
 
+def test_a1_poly_sign_pattern():
+    # A1(s)/s has only even powers, all nonzero and of one sign (-1)^(k-1), so
+    # it has no real root: A1(s) != 0 for every s != 0
+    for k in range(2, 65):
+        coeffs = a1_poly_in_s(k).coeffs
+        assert len(coeffs) == 2 * k, k
+        assert not any(coeffs[0::2]), k
+        sign = (-1) ** (k - 1)
+        assert all(c * sign > 0 for c in coeffs[1::2]), k
+
+
 def test_a1_odd_in_s():
     for k in (2, 3):
         for s in (2, 4, 6):

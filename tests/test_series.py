@@ -68,7 +68,8 @@ def test_arithmetic_aligns_to_min_order():
 def test_scalar_mixing():
     f = series8([1, 2, 3])
     assert (f + 1).coeff(0) == 2
-    assert (2 - f).coeff(1) == -2
+    assert (f - 2).coeff(0) == -1
+    assert (-f).coeff(1) == -2
     assert f.scale(Rational(1, 2)).coeff(2) == Rational(3, 2)
 
 
