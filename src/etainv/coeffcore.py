@@ -9,12 +9,11 @@ each operand's denominators once, with the lcm of that operand's
 denominators, accumulates the products of the integer numerators, and
 builds one rational per nonzero output coefficient, so a product costs one
 gcd per coefficient rather than one per term.  The other products run their
-own integer loops: a ``CohClass`` keeps integer
-numerators over one denominator, so its product needs no clearing; series
-evaluation in the ring clears only the series, with ``_cleared``, and
-convolves with ``_int_convolve``; the series powers and division clear
-their inputs with ``_cleared``, each building one rational per result
-coefficient.
+own integer loops: a ``CohClass`` keeps integer numerators over one
+denominator, so its product needs no clearing; series evaluation in the
+ring clears only the series, with ``_cleared``, and convolves with
+``_int_convolve``; the series powers and division clear their inputs with
+``_cleared``, each building one rational per result coefficient.
 
 ``UniPoly`` is the return type of ``a1_poly_in_s``.  It is evaluated by
 Horner's rule in integers, one rational per value (``find_good_s`` clears

@@ -40,7 +40,6 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be positive")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        # refused rather than truncated by int()
         if not all(isinstance(e, int) for e in self.entries):
             raise ValueError(f"matrix entries must be integers, got {self.entries}")
         object.__setattr__(self, "entries", tuple(self.entries))
