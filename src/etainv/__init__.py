@@ -5,7 +5,7 @@ All arithmetic is exact rational, on the stdlib ``fractions.Fraction``; see
 :mod:`etainv.coeffcore`.
 """
 
-from .coeffcore import RATIONAL_BACKEND, Rational, UniPoly, convolve_into
+from .coeffcore import RATIONAL_BACKEND, Rational, UniPoly
 from .cohring import CohClass, RingSpec, coh_eval_series, coh_integrate, coh_integrate_product
 from .invariants import (
     EtaReport,
@@ -29,7 +29,6 @@ __all__ = [
     "RATIONAL_BACKEND",
     "Rational",
     "UniPoly",
-    "convolve_into",
     "CohClass",
     "RingSpec",
     "coh_eval_series",

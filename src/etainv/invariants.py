@@ -51,7 +51,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeffcore import Rational, UniPoly, rat_to_str
+from .coeffcore import Rational, UniPoly, _cleared, rat_to_str
 from .cohring import (
     MAX_K,
     CohClass,
@@ -280,7 +280,7 @@ def _affine_split(k: int, c: int, s: int):
     integrating against G(su + tv) = G(su) + t v G'(su), with G' = -T,
     gives A1 = a1_poly_in_s(k)(s) and A0 = -c*s*A1/(2k).
     """
-    A1 = a1_poly_in_s(k)(Rational(s))
+    A1 = a1_poly_in_s(k)(s)
     return -c * s * A1 / (2 * k), A1
 
 
@@ -432,18 +432,19 @@ def a1_poly_in_s(k: int) -> UniPoly:
 
     A1 = [u^{2k-1}] F(u)^{2k} T(su) with F(u) = u/(e^{u/2}-e^{-u/2}) and
     T(x) = sinh(x/2)/(2cosh(x/2))^2.  T(su) has coefficients T_n s^n, so
-    [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n, computed over Q.  T = -G' with
-    G = 1/(2cosh(x/2)), so T_n = -(n+1) G_{n+1} is read from the cached
-    series that the ring certificate evaluates; F and G are the same cache
-    entries, truncated at u^{2k}, that reports read.
+    [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n.  T = -G' with G = 1/(2cosh(x/2)),
+    so T_n = -(n+1) G_{n+1} is read from the cached series that the ring
+    certificate evaluates; F and G are the same cache entries, truncated at
+    u^{2k}, that reports read.  F^{2k} and G are cleared once, so the
+    coefficients are the integers -(n+1) F_{2k-1-n} G_{n+1} over d_F * d_G.
     """
     _check_k(k)
     top = 2 * k - 1
-    f_pow = _ahat_factor(2 * k).truncate(top) ** (2 * k)
-    g = _inv_two_cosh(2 * k).coeffs
-    return UniPoly(
-        "s", (-(n + 1) * f_pow.coeffs[top - n] * g[n + 1] for n in range(top + 1))
-    )
+    d_f, f_terms = _cleared((_ahat_factor(2 * k).truncate(top) ** (2 * k)).coeffs)
+    d_g, g_terms = _cleared(_inv_two_cosh(2 * k).coeffs)
+    f, g = dict(f_terms), dict(g_terms)
+    nums = [-(n + 1) * f.get(top - n, 0) * g.get(n + 1, 0) for n in range(top + 1)]
+    return UniPoly("s", nums, d_f * d_g)
 
 
 def find_good_s(k: int, s_candidates) -> list[int]:
@@ -462,9 +463,8 @@ def find_good_s(k: int, s_candidates) -> list[int]:
         check_param_bound("s", s)
         if s == 0 or s % 2 != 0:
             raise InvalidParams(f"candidate s={s} is not a nonzero even integer")
-    # A1(s) is cleared of denominators once for every candidate
-    value_at = a1_poly_in_s(k)._evaluator()
-    return [s for s in s_candidates if value_at(s)]
+    poly = a1_poly_in_s(k)
+    return [s for s in s_candidates if poly(s)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 A series carries its variable tag and an explicit truncation order N; the
 coefficient list always has exactly N+1 rationals (``int`` or ``Fraction``)
-and no operation ever reports a coefficient beyond the truncation.  Products
-run on :func:`~etainv.coeffcore.convolve_into`.  Mixed-order arithmetic
-truncates to the minimum order.
+and no operation ever reports a coefficient beyond the truncation.
+Mixed-order arithmetic truncates to the minimum order.
 
-The two triangular recurrences, :meth:`PowerSeries.__pow__` and
+A product clears both operands once (:func:`~etainv.coeffcore._cleared`),
+convolves the integer numerators (:func:`~etainv.coeffcore._int_convolve`)
+and builds one ``Fraction`` per nonzero output coefficient.  The two
+triangular recurrences, :meth:`PowerSeries.__pow__` and
 :meth:`PowerSeries.divide`, run on integers too.  Each input is cleared once
 (:func:`~etainv.coeffcore._cleared`); the outputs found so far are kept as
 integer numerators over one running denominator, the lcm of their
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .coeffcore import Rational, _cleared, convolve_into
+from .coeffcore import Rational, _cleared, _int_convolve
 
 __all__ = [
     "PowerSeries",
@@ -158,8 +160,10 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return self.scale(other)
         n = self._align(other)
-        out = convolve_into([0] * (n + 1), self.coeffs, other.coeffs)
-        return PowerSeries(self.variable, out, n)
+        da, a_terms = _cleared(self.coeffs[: n + 1])
+        db, b_terms = _cleared(other.coeffs[: n + 1])
+        out = _int_convolve(n + 1, a_terms, b_terms)
+        return PowerSeries(self.variable, (Rational(c, da * db) if c else 0 for c in out), n)
 
     __rmul__ = __mul__
 

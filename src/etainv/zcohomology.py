@@ -66,6 +66,8 @@ class AbelianGroupDesc:
     torsion: tuple
 
     def __post_init__(self):
+        if not isinstance(self.free_rank, int) or self.free_rank < 0:
+            raise ValueError(f"free rank must be an integer >= 0, got {self.free_rank!r}")
         if not all(isinstance(d, int) for d in self.torsion):
             raise ValueError(f"torsion coefficients must be integers, got {self.torsion}")
         tor = tuple(self.torsion)
@@ -201,7 +203,8 @@ def cohomology_Mbar(k: int, s: int) -> list[AbelianGroupDesc]:
     """Integer cohomology table of the bundle total space, degrees 0..4k+1.
 
     H^0 = H^2 = Z, H^{2i} = Z_{s^2} for 2 <= i <= 2k-1 (torsion read off the
-    Gysin step cokernels), H^{4k-1} = H^{4k+1} = Z, everything else zero.
+    Gysin step cokernel, the same for every step), H^{4k-1} = H^{4k+1} = Z,
+    everything else zero.
     """
     spec = RingSpec(k, 1)  # checks 2 <= k <= MAX_K before s
     if s == 0 or s % 2 != 0:
@@ -211,8 +214,9 @@ def cohomology_Mbar(k: int, s: int) -> list[AbelianGroupDesc]:
     table: list[AbelianGroupDesc] = [zero] * (4 * k + 2)
     table[0] = z
     table[2] = z
+    # every Gysin step matrix is [[s, 1], [0, s]], whatever l, so one cokernel serves
+    group = cokernel(gysin_step_matrix(spec, s, 1, 1))
     for i in range(2, 2 * k):
-        group = cokernel(gysin_step_matrix(spec, s, 1, i - 1))
         table[2 * i] = group
     table[4 * k - 1] = z
     table[4 * k + 1] = z

@@ -357,7 +357,7 @@ def _break_univariate_a1(monkeypatch):
 
     def broken(k):
         poly = a1_poly_in_s(k)
-        return UniPoly("s", (poly[0] + 1,) + poly.coeffs[1:])
+        return UniPoly("s", (poly.nums[0] + poly.den,) + poly.nums[1:], poly.den)
 
     monkeypatch.setattr(invariants, "a1_poly_in_s", broken)
 

@@ -1,6 +1,7 @@
 """Rationals and dense univariate polynomials."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,18 +10,24 @@ from etainv.coeffcore import (
     RATIONAL_BACKEND,
     Rational,
     UniPoly,
-    convolve_into,
     rat_to_str,
 )
-from etainv.invariants import FamilyParams, InvalidParams
+from etainv.invariants import FamilyParams, InvalidParams, a1_poly_in_s
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 ).map(lambda f: Rational(f.numerator, f.denominator))
 
-small_polys = st.lists(rationals, min_size=0, max_size=6).map(
-    lambda cs: UniPoly("s", cs)
-)
+
+
+def _poly(coeffs):
+    """The UniPoly in s with these rational coefficients, numerators over their lcm."""
+    cs = [Fraction(c) for c in coeffs]
+    d = lcm(*[c.denominator for c in cs])
+    return UniPoly("s", [c.numerator * (d // c.denominator) for c in cs], d)
+
+
+small_polys = st.lists(rationals, min_size=0, max_size=6).map(_poly)
 
 
 def test_backend_is_declared():
@@ -80,27 +87,46 @@ def test_unipoly_trailing_zeros_dropped():
 
 
 def test_unipoly_strings_round_trip():
-    p = UniPoly("s", [Rational(0), Rational(-1, 48), Rational(0), Rational(-5, 192)])
+    p = _poly([Rational(0), Rational(-1, 48), Rational(0), Rational(-5, 192)])
     assert p.to_strings() == ["0/1", "-1/48", "0/1", "-5/192"]
-    assert UniPoly("s", map(Fraction, p.to_strings())) == p
+    assert _poly(map(Fraction, p.to_strings())) == p
 
 
 def test_unipoly_immutable():
     p = UniPoly("s", [0, 1])
-    with pytest.raises(AttributeError):
-        p.coeffs = ()
+    for name in ("coeffs", "nums", "den"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
 
 
 def _add(a, b):
     # UniPoly has no + of its own; distributivity is checked coefficientwise
-    n = max(len(a.coeffs), len(b.coeffs))
-    return UniPoly("s", [a[i] + b[i] for i in range(n)])
+    n = max(len(a.nums), len(b.nums))
+    return _poly([a[i] + b[i] for i in range(n)])
 
 
 def _canonical(p):
-    return (not p.coeffs or p.coeffs[-1] != 0) and all(
-        type(c) is Rational for c in p.coeffs
+    return (
+        (not p.nums or p.nums[-1] != 0)
+        and all(type(x) is int for x in p.nums + (p.den,))
+        and p.den > 0
+        and gcd(p.den, *p.nums) == 1
     )
+
+
+def test_unipoly_canonical_form():
+    p = UniPoly("s", [0, 2, 4], 4)
+    assert (p.nums, p.den) == ((0, 1, 2), 2)
+    assert p.coeffs == (0, Rational(1, 2), 1) and p == _poly([0, Rational(1, 2), 1])
+    a1 = a1_poly_in_s(2)
+    assert (a1.nums, a1.den) == ((0, -4, 0, -5), 192)
+    assert repr(a1) == "UniPoly('s', [0, -4, 0, -5], 192)"
+    # the product's denominator 2 divides out of its numerators
+    assert (UniPoly("s", [0, 1], 2) * UniPoly("s", [0, 2])).den == 1
+    assert (UniPoly("s", [], 6).nums, UniPoly("s", [], 6).den) == ((), 1)
+    for nums, den in (([Fraction(1, 2)], 1), ([0.5], 1), ([1], 2.0), ([1], 0), ([1], -1)):
+        with pytest.raises(TypeError):
+            UniPoly("s", nums, den)
 
 
 @given(small_polys, small_polys, small_polys)
@@ -130,7 +156,8 @@ def test_unipoly_pow_and_div():
 
 def test_unipoly_scalars_are_int_or_fraction():
     s = UniPoly("s", [0, 1])
-    assert UniPoly("s", (True, Fraction(1, 2))).coeffs == (1, Rational(1, 2))
+    assert _poly((True, Fraction(1, 2))).coeffs == (1, Rational(1, 2))
+    assert UniPoly("s", (True, 1), 2).coeffs == (Rational(1, 2), Rational(1, 2))
     with pytest.raises(TypeError):
         UniPoly("s", (0.5,))
     # arithmetic is polynomial by polynomial only
@@ -150,46 +177,12 @@ def test_unipoly_scalars_are_int_or_fraction():
 # multiplies them together
 LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
 
-# PowerSeries pads with int 0, so kernel inputs mix it with rationals
+# int 0 among the rationals, as in the coefficients a1_poly_in_s clears
 kernel_coeffs = st.one_of(
     st.just(0),
     rationals,
     st.builds(Rational, st.integers(-(10**30), 10**30), st.sampled_from(LARGE_PRIMES)),
 )
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(kernel_coeffs, max_size=7),
-    st.lists(kernel_coeffs, max_size=7),
-    st.lists(kernel_coeffs, max_size=14),
-)
-def test_convolve_into_adds_truncated_product(a, b, start):
-    # start, nonzero or not, may be shorter than len(a) + len(b) - 1
-    full = [Rational(0)] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            full[i + j] += x * y
-    out = list(start)
-    assert convolve_into(out, a, b) is out
-    assert out == [s + f for s, f in zip(start, full + [0] * len(start))]
-    # every coefficient written is a Rational, so UniPoly products stay canonical
-    assert all(isinstance(x, Rational) for x in out if x)
-
-
-def test_convolve_into_scales_each_numerator_to_the_shared_denominator():
-    p, q = LARGE_PRIMES[:2]
-    a = [Rational(1, p), Rational(-3, 7 * q), Rational(1, 5)]
-    b = [Rational(5, q), Rational(2, 3)]
-    # shorter than the full product (length 4), and its last entry cancels
-    out = [Rational(1, 2), 0, Rational(-5, 7 * q)]
-    convolve_into(out, a, b)
-    assert out == [
-        Rational(1, 2) + Rational(5, p * q),
-        Rational(2, 3 * p) - Rational(15, 7 * q * q),
-        0,
-    ]
-    assert all(isinstance(x, Rational) for x in out)
 
 
 def _fraction_horner(coeffs, x):
@@ -210,7 +203,7 @@ def _fraction_horner(coeffs, x):
 )
 def test_unipoly_call_is_fraction_horner(coeffs, x):
     # the homogenised integer Horner against Horner on Fractions
-    p = UniPoly("s", coeffs)
+    p = _poly(coeffs)
     value = p(x)
     assert value == _fraction_horner(p.coeffs, x)
     assert isinstance(value, Rational)
@@ -218,8 +211,8 @@ def test_unipoly_call_is_fraction_horner(coeffs, x):
 
 @pytest.mark.parametrize("x", [0, 1, 3, -7, Rational(-5, 3), Rational(1, 2**89 - 1), Rational(0)])
 def test_unipoly_call_at_every_kind_of_point(x):
-    p = UniPoly("s", [Rational(1, 3), 0, Rational(-7, 2), Rational(5, 2**61 - 1), 4])
+    p = _poly([Rational(1, 3), 0, Rational(-7, 2), Rational(5, 2**61 - 1), 4])
     assert p(x) == _fraction_horner(p.coeffs, x)
     assert UniPoly("s", [])(x) == 0
-    assert UniPoly("s", [Rational(-9, 4)])(x) == Rational(-9, 4)
-    assert UniPoly("s", [0, 0, Rational(2, 3)])(x) == Rational(2, 3) * x * x
+    assert _poly([Rational(-9, 4)])(x) == Rational(-9, 4)
+    assert _poly([0, 0, Rational(2, 3)])(x) == Rational(2, 3) * x * x

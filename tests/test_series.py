@@ -164,6 +164,50 @@ def test_ring_axioms(xs, ys, zs):
     assert (a * b) * c == a * (b * c)
 
 
+# PowerSeries pads with int 0, so product inputs mix it with rationals; the
+# Mersenne primes are pairwise coprime, so clearing an operand's
+# denominators multiplies them together
+product_coeffs = st.one_of(
+    st.just(0),
+    rationals,
+    st.builds(
+        Rational,
+        st.integers(-(10**30), 10**30),
+        st.sampled_from(LARGE_PRIMES + (2**127 - 1,)),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(product_coeffs, max_size=7),
+    st.lists(product_coeffs, max_size=7),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=8),
+)
+def test_product_is_truncated_convolution(a, b, order_a, order_b):
+    # an order past a list's end pads it with int 0; the product has the shorter order
+    f = PowerSeries("x", a, order_a)
+    g = PowerSeries("x", b, order_b)
+    n = min(order_a, order_b)
+    full = [sum(f.coeffs[i] * g.coeffs[m - i] for i in range(m + 1)) for m in range(n + 1)]
+    h = f * g
+    assert h.order == n and h.coeffs == tuple(full)
+    assert all(isinstance(x, Rational) for x in h.coeffs if x)
+
+
+def test_product_scales_each_numerator_to_the_shared_denominator():
+    p, q = LARGE_PRIMES[:2]
+    # f is padded with an int 0 at x^3; g has the shorter order, so the product
+    # stops at x^2, whose coefficient cancels to exact 0
+    f = PowerSeries("x", [Rational(1, p), Rational(-3, 7 * q), Rational(1, 5)], 3)
+    g = PowerSeries("x", [Rational(5, q), Rational(2, 3), Rational(-5 * p, 7 * q)], 2)
+    expected = (Rational(5, p * q), Rational(2, 3 * p) - Rational(15, 7 * q * q), 0)
+    for h in (f * g, g * f):
+        assert h.order == 2 and h.coeffs == expected
+        assert all(isinstance(x, Rational) for x in h.coeffs if x)
+
+
 def _repeated_mul(f, n):
     out = PowerSeries.constant(f.variable, 1, f.order)
     for _ in range(n):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etainv import zcohomology
 from etainv.cohring import RingSpec
 from etainv.zcohomology import (
     AbelianGroupDesc,
@@ -97,6 +98,10 @@ def test_group_desc_validation():
     with pytest.raises(ValueError):
         AbelianGroupDesc(0, (4, 6))
     AbelianGroupDesc(0, (2, 4))
+    # a negative rank would print as "0"; a non-int rank has no meaning
+    for rank in (-1, 1.5):
+        with pytest.raises(ValueError, match="free rank"):
+            AbelianGroupDesc(rank, ())
 
 
 def test_group_desc_str_and_to_dict():
@@ -148,6 +153,21 @@ def test_cohomology_table_k3():
     got = cohomology_Mbar(3, 4)
     assert len(got) == 14
     assert got == expected
+
+
+@pytest.mark.parametrize("k", [2, 12])
+def test_cohomology_table_takes_one_snf(monkeypatch, k):
+    # the Gysin step matrix [[s, 1], [0, s]] does not depend on the step l
+    calls = []
+
+    def counted(m):
+        calls.append(m.to_lists())
+        return snf(m)
+
+    monkeypatch.setattr(zcohomology, "snf", counted)
+    table = cohomology_Mbar(k, -6)
+    assert calls == [[[-6, 1], [0, -6]]]
+    assert table[4 : 4 * k : 2] == [AbelianGroupDesc(0, (36,))] * (2 * k - 2)
 
 
 def test_cohomology_table_validation():
