@@ -19,7 +19,6 @@ rationals = st.fractions(
 ).map(lambda f: Rational(f.numerator, f.denominator))
 
 
-
 def _poly(coeffs):
     """The UniPoly in s with these rational coefficients, numerators over their lcm."""
     cs = [Fraction(c) for c in coeffs]
