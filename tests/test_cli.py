@@ -232,6 +232,87 @@ def test_output_unwritable_path_exit_1(capsys, tmp_path):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+COMPUTE_ARGV = ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "3"]
+COMPUTE = {
+    "k": 2, "c": 1, "s": 2, "t": 3, "a_value": "7/8", "eta_rel": "-7/4",
+    "A0": "1/8", "A1": "-1/4", "sign_convention": "PLUS",
+}
+COMPUTE_APPROX = dict(COMPUTE, a_value_approx=0.875, eta_rel_approx=-1.75)
+# t = 3 is not coprime to s = 6; t = 2 and 4 (with --t-step 1) are even
+FAMILY_ARGV = ["family", "-k", "2", "-c", "1", "-s", "6", "--t-min", "1", "--t-max", "5"]
+FAMILY_ROWS = [
+    {"k": 2, "c": 1, "s": 6, "t": t, "a_value": a, "eta_rel": eta, "A0": "69/8", "A1": "-23/4",
+     "sign_convention": "PLUS"}
+    for t, a, eta in ((1, "115/8", "-115/4"), (5, "299/8", "-299/4"))
+]
+NOT_COPRIME = "s and t must be coprime (standing assumption), got gcd(6,3)=3"
+COHOMOLOGY_TABLE = [(1, []), (0, []), (1, []), (0, []), (0, [4]), (0, []), (0, [4]), (1, []),
+                    (0, []), (1, [])]
+
+# The full stdout of every command in every format, byte for byte; a JSON
+# case is given as its value, printed with indent=2 and a final newline.
+GOLDEN = [
+    (COMPUTE_ARGV + ["--format", "json"], COMPUTE),
+    (COMPUTE_ARGV + ["--format", "json", "--approx"], COMPUTE_APPROX),
+    (COMPUTE_ARGV + ["--format", "csv", "--approx"],
+     "k,c,s,t,a_value,eta_rel,A0,A1,sign_convention\n2,1,2,3,7/8,-7/4,1/8,-1/4,PLUS\n"),
+    (COMPUTE_ARGV + ["--format", "text"], "".join(f"{k} = {v}\n" for k, v in COMPUTE.items())),
+    (COMPUTE_ARGV + ["--format", "text", "--approx"],
+     "".join(f"{k} = {v}\n" for k, v in COMPUTE_APPROX.items())),
+    (FAMILY_ARGV + ["--format", "json"],
+     {"rows": [FAMILY_ROWS[0], {"t": 3, "error": NOT_COPRIME}, FAMILY_ROWS[1]],
+      "distinct_count": 2}),
+    (FAMILY_ARGV + ["--format", "json", "--approx"],
+     {"rows": [dict(FAMILY_ROWS[0], a_value_approx=14.375, eta_rel_approx=-28.75),
+               {"t": 3, "error": NOT_COPRIME},
+               dict(FAMILY_ROWS[1], a_value_approx=37.375, eta_rel_approx=-74.75)],
+      "distinct_count": 2}),
+    (FAMILY_ARGV + ["--format", "csv", "--t-step", "1"],
+     "k,c,s,t,a_value,eta_rel,A0,A1,sign_convention,error,distinct_count\n"
+     "2,1,6,1,115/8,-115/4,69/8,-23/4,PLUS,,2\n"
+     ',,,2,,,,,,"t must be odd (standing assumption), got t=2",2\n'
+     f',,,3,,,,,,"{NOT_COPRIME}",2\n'
+     ',,,4,,,,,,"t must be odd (standing assumption), got t=4",2\n'
+     "2,1,6,5,299/8,-299/4,69/8,-23/4,PLUS,,2\n"),
+    (FAMILY_ARGV + ["--format", "text"],
+     f"t=1: eta_rel = -115/4\nt=3: INVALID ({NOT_COPRIME})\nt=5: eta_rel = -299/4\n"
+     "distinct_count = 2\n"),
+    (FAMILY_ARGV + ["--format", "text", "--t-step", "1", "--approx"],
+     "t=1: eta_rel = -115/4\nt=2: INVALID (t must be odd (standing assumption), got t=2)\n"
+     f"t=3: INVALID ({NOT_COPRIME})\nt=4: INVALID (t must be odd (standing assumption), got t=4)\n"
+     "t=5: eta_rel = -299/4\ndistinct_count = 2\n"),
+    (["a1-poly", "-k", "2", "--format", "json"],
+     {"k": 2, "variable": "s", "coeffs": ["0/1", "-1/48", "0/1", "-5/192"]}),
+    (["a1-poly", "-k", "2", "--format", "csv"], "degree,coeff\n0,0/1\n1,-1/48\n2,0/1\n3,-5/192\n"),
+    (["a1-poly", "-k", "2", "--format", "text"],
+     "k = 2\nvariable = s\ncoeffs = ['0/1', '-1/48', '0/1', '-5/192']\n"),
+    (["find-s", "-k", "2", "--s-candidates", "2,4,-2", "--format", "json"],
+     {"k": 2, "candidates": [2, 4, -2], "good_s": [2, 4, -2]}),
+    (["find-s", "-k", "2", "--s-candidates", "2,4,-2", "--format", "csv"],
+     "s,a1_nonzero\n2,true\n4,true\n-2,true\n"),
+    (["find-s", "-k", "2", "--s-candidates", "2,4,-2", "--format", "text"],
+     "k = 2\ncandidates = [2, 4, -2]\ngood_s = [2, 4, -2]\n"),
+    (["cohomology", "-k", "2", "-s", "2", "--format", "json"],
+     {"k": 2, "s": 2, "h4_quotient_order": 16,
+      "table": [{"free_rank": r, "torsion": t} for r, t in COHOMOLOGY_TABLE]}),
+    (["cohomology", "-k", "2", "-s", "2", "--format", "csv"],
+     "degree,free_rank,torsion\n0,1,\n1,0,\n2,1,\n3,0,\n4,0,4\n5,0,\n6,0,4\n7,1,\n8,0,\n9,1,\n"),
+    (["cohomology", "-k", "2", "-s", "2", "--format", "text"],
+     "H^0 = Z\nH^1 = 0\nH^2 = Z\nH^3 = 0\nH^4 = Z_4\nH^5 = 0\nH^6 = Z_4\nH^7 = Z\nH^8 = 0\n"
+     "H^9 = Z\n|H^4(quotient)| = 16\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_output(capsys, tmp_path, argv, expected):
+    if not isinstance(expected, str):
+        expected = json.dumps(expected, indent=2) + "\n"
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    target = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == expected.encode()
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("series or ring work started before the input was checked")
 
