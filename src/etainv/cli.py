@@ -1,6 +1,8 @@
 """Command-line surface.
 
 Subcommands: compute, family, a1-poly, find-s, cohomology, verify.  Every
+command but verify takes --format json|csv|text and --output, and one
+renderer, _render, writes all three formats to stdout or the file.  Every
 numeric field in JSON/CSV output is an exact rational string 'num/den';
 decimal renderings appear only alongside the exact values when --approx is
 given, in compute's JSON and text and in family's JSON; CSV output, and
@@ -20,6 +22,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
 
@@ -69,14 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_output(p):
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--output", default=None, help="output path (default: stdout)")
+
     def add_common(p, need_t=False):
         p.add_argument("-k", type=int, required=True, help=f"half-dimension parameter, 2 <= k <= {MAX_K}")
         p.add_argument("-c", type=int, required=True, help="twisting parameter, odd, |c| < 2^63")
         p.add_argument("-s", type=int, required=True, help="Euler class u-coefficient, even nonzero, |s| < 2^63")
         if need_t:
             p.add_argument("-t", type=int, required=True, help="Euler class v-coefficient, odd, coprime to s, |t| < 2^63")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
+        add_output(p)
         p.add_argument(
             "--approx", action="store_true",
             help="add decimal renderings alongside exact values in JSON and compute's text "
@@ -95,20 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("a1-poly", help="the degree-one coefficient as a polynomial in s")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--output", default=None)
+    add_output(p)
 
     p = sub.add_parser("find-s", help="filter candidate s values with A1(s) != 0")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--s-candidates", required=True, help="at most 1000 comma-separated even nonzero integers, each |s| < 2^63")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--output", default=None)
+    add_output(p)
 
     p = sub.add_parser("cohomology", help="integer cohomology table of the bundle total space")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-s", type=int, required=True, help="even nonzero, |s| < 2^63")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--output", default=None)
+    add_output(p)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--suite", choices=("paper",), default="paper")
@@ -116,45 +119,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None):
-    if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _render(args, d: dict, header, rows, lines=None):
+    """Write one result in the --format chosen, to stdout or to --output.
+
+    JSON is d; CSV is the header, then rows; text is lines, or one
+    `key = value` line per field of d.  rows and lines may be generators:
+    only the chosen format's are consumed.
+    """
+    if args.format == "json":
+        text = json.dumps(d, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
     else:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
-        except OSError as exc:
-            raise OutputError(f"cannot write {output}: {exc.strerror or exc}") from exc
-
-
-def _report_rows_csv(rows, columns=CSV_COLUMNS) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({key: row.get(key, "") for key in columns})
-    return buf.getvalue()
-
-
-def _report_text(d: dict) -> str:
-    lines = [f"{key} = {value}" for key, value in d.items()]
-    return "\n".join(lines)
+        if lines is None:
+            lines = (f"{key} = {value}" for key, value in d.items())
+        text = "".join(f"{line}\n" for line in lines)
+    if args.output is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
 def _cmd_compute(args) -> int:
     params = FamilyParams(k=args.k, c=args.c, s=args.s, t=args.t)
     # CSV has no approx columns, so it never asks for the decimals
     report = relative_eta(params).to_dict(approx=args.approx and args.format != "csv")
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.output)
-    elif args.format == "csv":
-        _emit(_report_rows_csv([report]), args.output)
-    else:
-        _emit(_report_text(report), args.output)
+    _render(args, report, CSV_COLUMNS, ((report[key] for key in CSV_COLUMNS),))
     return 0
 
 
@@ -167,37 +165,21 @@ def _cmd_family(args) -> int:
     result = family_scan(args.k, args.c, args.s, ts)
     # only the JSON rows carry the decimals
     d = result.to_dict(approx=args.approx and args.format == "json")
-    if args.format == "json":
-        _emit(json.dumps(d, indent=2), args.output)
-    elif args.format == "csv":
-        rows = [dict(row, distinct_count=d["distinct_count"]) for row in d["rows"]]
-        _emit(_report_rows_csv(rows, FAMILY_CSV_COLUMNS), args.output)
-    else:
-        lines = []
-        for row in d["rows"]:
-            if "error" in row:
-                lines.append(f"t={row['t']}: INVALID ({row['error']})")
-            else:
-                lines.append(f"t={row['t']}: eta_rel = {row['eta_rel']}")
-        lines.append(f"distinct_count = {d['distinct_count']}")
-        _emit("\n".join(lines), args.output)
+    n = d["distinct_count"]
+    rows = ([row.get(key, "") for key in FAMILY_CSV_COLUMNS[:-1]] + [n] for row in d["rows"])
+    lines = (
+        f"t={row['t']}: INVALID ({row['error']})" if "error" in row
+        else f"t={row['t']}: eta_rel = {row['eta_rel']}"
+        for row in d["rows"]
+    )
+    _render(args, d, FAMILY_CSV_COLUMNS, rows, itertools.chain(lines, [f"distinct_count = {n}"]))
     return 0
 
 
 def _cmd_a1_poly(args) -> int:
     poly = a1_poly_in_s(args.k)
     d = {"k": args.k, "variable": poly.variable, "coeffs": poly.to_strings()}
-    if args.format == "json":
-        _emit(json.dumps(d, indent=2), args.output)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["degree", "coeff"])
-        for i, c in enumerate(poly.to_strings()):
-            writer.writerow([i, c])
-        _emit(buf.getvalue(), args.output)
-    else:
-        _emit(_report_text(d), args.output)
+    _render(args, d, ["degree", "coeff"], enumerate(d["coeffs"]))
     return 0
 
 
@@ -208,42 +190,20 @@ def _cmd_find_s(args) -> int:
         raise InvalidParams(f"--s-candidates must be a comma list of integers: {exc}")
     good = find_good_s(args.k, candidates)
     d = {"k": args.k, "candidates": candidates, "good_s": good}
-    if args.format == "json":
-        _emit(json.dumps(d, indent=2), args.output)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["s", "a1_nonzero"])
-        for s in candidates:
-            writer.writerow([s, str(s in good).lower()])
-        _emit(buf.getvalue(), args.output)
-    else:
-        _emit(_report_text(d), args.output)
+    _render(args, d, ["s", "a1_nonzero"], ((s, str(s in good).lower()) for s in candidates))
     return 0
 
 
 def _cmd_cohomology(args) -> int:
     check_param_bound("s", args.s)
     table = cohomology_Mbar(args.k, args.s)
-    d = {
-        "k": args.k,
-        "s": args.s,
-        "h4_quotient_order": h4_M_order(args.s),
-        "table": [g.to_dict() for g in table],
-    }
-    if args.format == "json":
-        _emit(json.dumps(d, indent=2), args.output)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["degree", "free_rank", "torsion"])
-        for degree, g in enumerate(table):
-            writer.writerow([degree, g.free_rank, ";".join(str(x) for x in g.torsion)])
-        _emit(buf.getvalue(), args.output)
-    else:
-        lines = [f"H^{degree} = {g}" for degree, g in enumerate(table)]
-        lines.append(f"|H^4(quotient)| = {h4_M_order(args.s)}")
-        _emit("\n".join(lines), args.output)
+    order = h4_M_order(args.s)
+    d = {"k": args.k, "s": args.s, "h4_quotient_order": order,
+         "table": [g.to_dict() for g in table]}
+    rows = ((i, g.free_rank, ";".join(map(str, g.torsion))) for i, g in enumerate(table))
+    lines = itertools.chain((f"H^{i} = {g}" for i, g in enumerate(table)),
+                            [f"|H^4(quotient)| = {order}"])
+    _render(args, d, ["degree", "free_rank", "torsion"], rows, lines)
     return 0
 
 

@@ -40,7 +40,7 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be positive")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(type(e) is int for e in self.entries):  # bool is refused too
             raise ValueError(f"matrix entries must be integers, got {self.entries}")
         object.__setattr__(self, "entries", tuple(self.entries))
 
@@ -66,7 +66,7 @@ class AbelianGroupDesc:
     torsion: tuple
 
     def __post_init__(self):
-        if not isinstance(self.free_rank, int) or self.free_rank < 0:
+        if type(self.free_rank) is not int or self.free_rank < 0:  # bool is refused too
             raise ValueError(f"free rank must be an integer >= 0, got {self.free_rank!r}")
         if not all(isinstance(d, int) for d in self.torsion):
             raise ValueError(f"torsion coefficients must be integers, got {self.torsion}")

@@ -11,7 +11,9 @@ import random
 from etainv.cohring import CohClass, RingSpec
 from etainv.coeffcore import Rational
 from etainv.series import PowerSeries
+from etainv import verify
 from etainv.verify import PAPER_SUITE, _check_ring_engine
+from etainv.zcohomology import IntMatrix
 
 
 def _suite_test(number: int, name: str, check):
@@ -95,3 +97,16 @@ def test_ring_engine_catches_a_product_without_the_fold(monkeypatch):
     ok, detail = _check_ring_engine()
     assert not ok
     assert detail == "ring relations fail at (k=2, c=1)"
+
+
+def test_gysin_check_catches_a_wrong_ring_route(monkeypatch, capsys):
+    # the transpose has the same SNF (1, s^2), so only the matrix comparison sees it
+    def transposed(spec, s, t, l):
+        return IntMatrix.from_lists([[s, 0], [t, s]])
+
+    monkeypatch.setattr(verify, "gysin_step_matrix_via_ring", transposed)
+    assert not verify.run_paper_suite()
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "FAIL  gysin_cokernel_orders: Gysin matrix at (k=2, s=2, t=1, l=1): "
+        "[[2, 1], [0, 2]], but [[2, 0], [1, 2]] via the ring"
+    )

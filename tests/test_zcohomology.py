@@ -30,6 +30,9 @@ def test_matrix_validation():
     # int() would truncate these to [[2, 3]]
     with pytest.raises(ValueError, match="must be integers"):
         IntMatrix(1, 2, (2.7, Fraction(7, 2)))
+    # True would pass for 1: snf gave (1,)
+    with pytest.raises(ValueError, match="must be integers"):
+        IntMatrix(1, 2, (True, 2))
     m = IntMatrix.from_lists([[1, 2], [3, 4]])
     assert m.to_lists() == [[1, 2], [3, 4]]
 
@@ -98,8 +101,9 @@ def test_group_desc_validation():
     with pytest.raises(ValueError):
         AbelianGroupDesc(0, (4, 6))
     AbelianGroupDesc(0, (2, 4))
-    # a negative rank would print as "0"; a non-int rank has no meaning
-    for rank in (-1, 1.5):
+    # a negative rank would print as "0", True as "Z" with "free_rank": true;
+    # a non-int rank has no meaning
+    for rank in (-1, 1.5, True):
         with pytest.raises(ValueError, match="free rank"):
             AbelianGroupDesc(rank, ())
 
