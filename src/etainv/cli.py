@@ -190,7 +190,8 @@ def _cmd_find_s(args) -> int:
         raise InvalidParams(f"--s-candidates must be a comma list of integers: {exc}")
     good = find_good_s(args.k, candidates)
     d = {"k": args.k, "candidates": candidates, "good_s": good}
-    _render(args, d, ["s", "a1_nonzero"], ((s, str(s in good).lower()) for s in candidates))
+    kept = set(good)
+    _render(args, d, ["s", "a1_nonzero"], ((s, str(s in kept).lower()) for s in candidates))
     return 0
 
 

@@ -14,26 +14,22 @@ coefficient; the rational coefficients p and q are read on demand.  ``**``
 is the package's one binary exponentiation.
 
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
-evaluates f(p + v*q) as f(p) + v*q*f'(p) from the powers of the u-polynomial
-p alone, and :func:`coh_integrate_product` reads the integral of a product
-from its two factors in O(k) without forming it.  Both run on the integer
-numerators: f is cleared of denominators once, the sums run in integers,
-and the result is one canonical class or one rational.  No k above MAX_K
-(64) is accepted.
+evaluates f at a degree-2 class a*u + b*v in closed form, as
+f(a*u) + b*v*f'(a*u), and :func:`coh_integrate_product` reads the integral
+of a product from its two factors in O(k) without forming it.  Both run on
+the integer numerators: f is cleared of denominators once, the sums run in
+integers, and the result is one canonical class or one rational.  No k
+above MAX_K (64) is accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import mul
 
-from .coeffcore import (
-    Rational,
-    _cleared,
-    _int_convolve,
-    rat_to_str,
-)
+from .coeffcore import Rational, _cleared, rat_to_str
 from .series import PowerSeries
 
 __all__ = [
@@ -284,62 +280,35 @@ class CohClass:
 
 
 def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:
-    """sum_n f_n * x^n for a positive-degree class x; a finite sum by nilpotency.
+    """sum_n f_n * x^n at a degree-2 class x = a*u + b*v; a finite sum by nilpotency.
 
-    With x = p(u) + v*q(u) and v^2 = 0, f(x) = f(p) + v*q*f'(p).  As p(0) = 0,
-    p = u*r and p^m = u^m * r^m, so only r^m is formed, to the 2k + 1 - m
-    terms that survive below u^{2k+1}; u^{2k} then folds into c*u^{2k-1}*v.
-
-    One integer path for every class: f is cleared once (f_m = F_m/d_f), and
-    r = R/den and q = Q/den are read from the class's integer numerators.
-    R^m is formed in integers, and f(p) and f'(p) are accumulated as
-    numerators over the one denominator d_f*den^{2k}; the result is built
-    once, through the canonical constructor.  For a degree-2 class R is one
-    integer and the evaluation costs O(k) integer products.  Requires
+    As v^2 = 0, f(x) = f(a*u) + b*v*f'(a*u).  With x = (A*u + B*v)/D from the
+    class's numerators and f cleared once (f_m = F_m/d_f), over d_f*D^{2k+1}
+    the coefficient of u^m is F_m A^m D^{2k+1-m} and that of u^m*v is
+    B (m+1) F_{m+1} A^m D^{2k-m}; the u^{2k} term F_{2k} A^{2k} D folds into
+    c*u^{2k-1}*v.  O(k) integer products and one canonical class.  Requires
     order(f) >= 2k so the truncation cannot hide a surviving term.
     """
     if x.P[0]:
         raise NonNilpotentArgument("class has a nonzero constant part")
+    if any(x.P[2:]) or any(x.Q[1:]):
+        raise ValueError("series are evaluated only at degree-2 classes a*u + b*v")
     n = 2 * x.spec.k
     if f.order < n:
         raise InsufficientOrder(
             f"series order {f.order} < 2k = {n}; higher terms would be lost"
         )
     d_f, f_terms = _cleared(f.coeffs[: n + 1])
-    d_x = x.den
-    r = [(i, y) for i, y in enumerate(x.P[1:]) if y]
-    q = [(i, y) for i, y in enumerate(x.Q) if y]
-    coeff = dict(f_terms)
-    # lift[m] = d_x^(2k - m) takes a term over d_f*d_x^m to d_f*d_x^(2k)
-    lift = [1]
-    for _ in range(n):
-        lift.append(lift[-1] * d_x)
-    lift.reverse()
-    fp = [0] * (n + 1)  # f(p) numerators, up to u^{2k}
-    dfp = [0] * n  # f'(p) numerators, up to u^{2k-1}
-    fp[0] = coeff.get(0, 0) * lift[0]
-    r_pow = [(0, 1)]  # R^(m-1) on entry to step m, as (index, integer) terms
-    for m in range(1, n + 1):
-        cm = coeff.get(m)
-        if cm:
-            w = m * cm * lift[m - 1]
-            for i, y in r_pow:
-                if i > n - m:
-                    break
-                dfp[m - 1 + i] += w * y
-        r_pow = [(i, y) for i, y in enumerate(_int_convolve(n + 1 - m, r_pow, r)) if y]
-        if not r_pow:
-            break
-        if cm:
-            w = cm * lift[m]
-            for i, y in r_pow:
-                fp[m + i] += w * y
-    vq = _int_convolve(n, q, [(i, y) for i, y in enumerate(dfp) if y])
-    # over d_f*d_x^(2k+1), the v-part's denominator; u^{2k} folds into c*u^{2k-1}*v
-    vq[n - 1] += fp.pop() * x.spec.c * d_x
-    return CohClass._canonical(
-        x.spec, d_f * lift[0] * d_x, tuple(y * d_x for y in fp), tuple(vq)
-    )
+    F = dict(f_terms)
+    A, B, D = x.P[1], x.Q[0], x.den
+    # A^m and D^m, one multiply per step
+    a_pow = list(accumulate(repeat(A, n), mul, initial=1))
+    d_pow = list(accumulate(repeat(D, n + 1), mul, initial=1))
+    P = tuple(F.get(m, 0) * a_pow[m] * d_pow[n + 1 - m] for m in range(n))
+    Q = [B * (m + 1) * F.get(m + 1, 0) * a_pow[m] * d_pow[n - m] for m in range(n)]
+    # u^{2k} folds into c*u^{2k-1}*v
+    Q[n - 1] += x.spec.c * F.get(n, 0) * a_pow[n] * D
+    return CohClass._canonical(x.spec, d_f * d_pow[n + 1], P, tuple(Q))
 
 
 def coh_integrate(a: CohClass):

@@ -23,10 +23,8 @@ t enters the ring integral I(t) of A-hat(B_c) times G(su + tv) only as the
 v-coefficient of su + tv, times t-free rationals, and v^2 = 0, so I(t) is
 affine in t.  Two rational ring integrals, I(0) and I(1), therefore fix it:
 I(0) must equal A0 and I(1) - I(0) must equal -A1, or AffinityViolation is
-raised.  Both come from one ring evaluation of G, at su + v: that class is
-G(su) + v G'(su), and its p-part plus the fold c*G_{2k}*s^{2k}*u^{2k-1}*v
-of the u^{2k} term is G(su).  relative_eta and family_scan share this
-certificate; each row is then a = A0 - A1*t, with no ring work.
+raised.  relative_eta and family_scan share this certificate; each row is
+then a = A0 - A1*t, with no ring work.
 decompose_affine_in_t keeps the ring probes t = 1, 3, 5 as the oracle that
 verify and the tests compare against.
 
@@ -285,25 +283,9 @@ def _affine_split(k: int, c: int, s: int):
 
 
 def _ring_integrals(spec: RingSpec, s: int):
-    """(I(0), I(1)): the ring integrals of A-hat(B_c) times G(su + tv) at t = 0 and 1.
-
-    One evaluation of G, at su + v, gives G(su) + v G'(su).  Its p-part plus
-    the fold c*G_{2k}*s^{2k}*u^{2k-1}*v of the u^{2k} term is G(su), the
-    class at t = 0, so both integrals come from the one evaluation.
-    """
-    n = 2 * spec.k
+    """(I(0), I(1)): the ring integrals of A-hat(B_c) times G(su + tv) at t = 0 and 1."""
     ahat = ahat_Bc(spec)
-    at_one = _sech_factor(spec, s, 1)
-    fold = _inv_two_cosh(n).coeffs[n] * (spec.c * s**n)
-    # over the common denominator at_one.den * fold.denominator
-    d = fold.denominator
-    at_zero = CohClass._canonical(
-        spec,
-        at_one.den * d,
-        tuple(x * d for x in at_one.P),
-        (0,) * (n - 1) + (fold.numerator * at_one.den,),
-    )
-    return coh_integrate_product(ahat, at_zero), coh_integrate_product(ahat, at_one)
+    return _datum_at(ahat, s, 0), _datum_at(ahat, s, 1)
 
 
 def _certified_split(spec: RingSpec, s: int):
@@ -312,8 +294,8 @@ def _certified_split(spec: RingSpec, s: int):
     t enters the Euler class su + tv only as its v-coefficient, and v^2 = 0,
     so G(su + tv) = G(su) + t v G'(su) and the ring integral I(t) of
     A-hat(B_c) times it is affine in t: I(t) = I(0) + (I(1) - I(0)) t.
-    The two rational integrals, both from one ring evaluation of G
-    (:func:`_ring_integrals`), must give I(0) = A0 and I(1) - I(0) = -A1.
+    The two rational integrals (:func:`_ring_integrals`) must give I(0) = A0
+    and I(1) - I(0) = -A1.
     """
     A0, A1 = _affine_split(spec.k, spec.c, s)
     i0, i1 = _ring_integrals(spec, s)

@@ -224,7 +224,12 @@ def cohomology_Mbar(k: int, s: int) -> list[AbelianGroupDesc]:
 
 
 def h4_M_order(s: int) -> int:
-    """Order of H^4 of the Z_2-quotient: 4*s^2."""
+    """Order of H^4 of the Z_2-quotient: 4*s^2.
+
+    The s^2 is the order of H^4 of the double cover, which verify checks
+    against the Gysin cokernel; the factor 4 for the Z_2 quotient is quoted
+    from the paper and unchecked.
+    """
     if s == 0 or s % 2 != 0:
         raise ValueError(f"s must be a nonzero even integer, got s={s}")
     return 4 * s * s

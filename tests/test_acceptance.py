@@ -32,6 +32,14 @@ for _number, (_name, _check) in enumerate(PAPER_SUITE, 1):
     globals()[_test.__name__] = _test
 
 
+def test_h4_order_is_checked_against_the_gysin_table(monkeypatch):
+    # a wrong order formula fails the criterion, which reads s^2 off the SNF
+    monkeypatch.setattr(verify, "h4_M_order", lambda s: 4 * s)
+    ok, detail = verify._check_h4_order()
+    assert not ok
+    assert detail == "h4_M_order(2) = 8, but H^4 of the cover at (k=2, s=2) is Z_4: 4 * |H^4| = 16"
+
+
 def test_series_compose_and_revert_both_ways():
     rng = random.Random(20240)
     identity = PowerSeries.identity("x", 12)

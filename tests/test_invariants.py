@@ -447,12 +447,28 @@ def test_every_valid_row_checks_its_ring_integral(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 16, 64])
 @pytest.mark.parametrize("s", [2, -6, 2**63 - 2])
 def test_certificate_integrals_are_the_ring_datum_at_t_0_and_1(k, s):
-    # one G evaluation gives the same two integrals as two evaluations at su and su + v
+    # against G(su + tv) summed as G_m (su + tv)^m by ring products, with no
+    # coh_eval_series; at k = 64, where that loop is slow, against the
+    # univariate split
+    g = invariants._inv_two_cosh(2 * k).coeffs
     for c in (1, -7):
         spec = RingSpec(k, c)
+        integrals = invariants._ring_integrals(spec, s)
+        if k == 64:
+            A0, A1 = invariants._affine_split(k, c, s)
+            i0, i1 = integrals
+            assert i0 == A0 and i1 - i0 == -A1
+            continue
         ahat = invariants.ahat_Bc(spec)
-        expected = tuple(invariants._datum_at(ahat, s, t) for t in (0, 1))
-        assert invariants._ring_integrals(spec, s) == expected
+        expected = []
+        for t in (0, 1):
+            x = CohClass.from_uv(spec, s, t)
+            acc, power = CohClass.one(spec).scale(g[0]), CohClass.one(spec)
+            for m in range(1, 2 * k + 1):
+                power = power * x
+                acc = acc + power.scale(g[m])
+            expected.append(coh_integrate(ahat * acc))
+        assert integrals == tuple(expected)
 
 
 def test_k_limit():
