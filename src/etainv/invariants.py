@@ -31,7 +31,12 @@ verify and the tests compare against.
 Every series on the report path is truncated at u^{2k}: the ring has top
 class u^{2k-1}v in degree 4k and u^m = 0 there for m > 2k, so no higher
 coefficient can change a, eta_rel, (A0, A1) or A1(s).  Production code reads
-one cache entry per k from each of _ahat_factor and _inv_two_cosh.
+one cache entry per k from each of _ahat_factor and _inv_two_cosh, built from
+the integer closed forms of F (Bernoulli numbers) and G (Euler numbers), and
+one from each of _ahat_power (F^{2k-1}) and the polynomial A1(s), which
+depend on k alone.  It calls no ps_exp and no series division; that route is
+the oracle in a1_residue and in verify's series_engine criterion.  Every
+request still takes its own certificate at its own (k, c, s).
 
 Work limits, checked before any series work: k <= MAX_K (64), |c|, |s| and
 |t| below PARAM_BOUND (2^63), at most MAX_T_VALUES (1000) t values per family
@@ -48,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .coeffcore import Rational, UniPoly, _cleared, rat_to_str
 from .cohring import (
@@ -127,6 +133,8 @@ class FamilyParams:
     t: int
 
     def __post_init__(self):
+        if type(self.k) is not int:
+            raise InvalidParams(f"k must be an int, got {self.k!r}")
         if self.k < 2:
             raise InvalidParams(f"k must be >= 2 (standing assumption), got k={self.k}")
         if self.k > MAX_K:
@@ -195,37 +203,91 @@ class EtaReport:
 # ---------------------------------------------------------------------------
 
 
+def _bernoulli_over(n_max: int):
+    """(L, [L*B_0, ..., L*B_n_max]) by the Akiyama-Tanigawa algorithm, in integers.
+
+    Kaneko, J. Integer Seq. 3 (2000): a_m = 1/(m+1), then
+    a_{j-1} = j (a_{j-1} - a_j) for j = m..1, and B_m = a_0 (with B_1 = +1/2).
+    Every step is an integer combination, so the a_j stay integers over
+    L = lcm(1..n_max+1).
+    """
+    L = math.lcm(*range(1, n_max + 2))
+    a, out = [], []
+    for m in range(n_max + 1):
+        a.append(L // (m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        out.append(a[0])
+    return L, out
+
+
+def _secant_numbers(m_max: int):
+    """|E_0|, |E_2|, ..., |E_{2 m_max}| from the Seidel boustrophedon.
+
+    Row n is E(n, 0) = 0 (n > 0), E(n, j) = E(n, j-1) + E(n-1, n-j), that is
+    the running sums of row n-1 read backwards; its last entry is the zigzag
+    number A_n, and A_{2m} = |E_{2m}| (Millar, Sloane & Young, JCTA 1996).
+    """
+    row, zigzag = [1], [1]
+    for _ in range(2 * m_max):
+        row = list(accumulate(reversed(row), initial=0))
+        zigzag.append(row[-1])
+    return zigzag[::2]
+
+
 @lru_cache(maxsize=None)
 def _ahat_factor(order: int) -> PowerSeries:
-    """x / (e^{x/2} - e^{-x/2}) = 1 - x^2/24 + 7x^4/5760 - ..., truncated."""
-    denom = ps_exp(Rational(1, 2), order + 1) - ps_exp(Rational(-1, 2), order + 1)
-    # divide numerator and denominator by x; the shifted series is a unit
-    shifted = PowerSeries("x", denom.coeffs[1:], order)
-    return PowerSeries.constant("x", 1, order).divide(shifted)
+    """F(x) = x / (e^{x/2} - e^{-x/2}) = 1 - x^2/24 + 7x^4/5760 - ..., truncated.
+
+    From the closed form F_n = (2^{1-n} - 1) B_n / n!, with the Bernoulli
+    numbers as integers L*B_n over one L (:func:`_bernoulli_over`):
+    F_n = (2 - 2^n) (L B_n) / (L 2^n n!), one Fraction per coefficient.
+    """
+    L, lb = _bernoulli_over(order)
+    coeffs, fact = [], 1
+    for n in range(order + 1):
+        fact *= n or 1
+        coeffs.append(Rational((2 - 2**n) * lb[n], L * 2**n * fact))
+    return PowerSeries("x", coeffs, order)
 
 
 @lru_cache(maxsize=None)
 def _inv_two_cosh(order: int) -> PowerSeries:
-    """1 / (e^{x/2} + e^{-x/2}) = 1/2 - x^2/16 + 5x^4/768 - ..., truncated."""
-    denom = ps_exp(Rational(1, 2), order) + ps_exp(Rational(-1, 2), order)
-    return PowerSeries.constant("x", 1, order).divide(denom)
+    """G(x) = 1 / (e^{x/2} + e^{-x/2}) = 1/2 - x^2/16 + 5x^4/768 - ..., truncated.
+
+    From the closed form G_{2m} = E_{2m} / (2 4^m (2m)!), with the Euler
+    numbers E_{2m} = (-1)^m |E_{2m}| from :func:`_secant_numbers`; G is even.
+    One Fraction per coefficient.
+    """
+    secant = _secant_numbers(order // 2)
+    coeffs, fact = [], 1
+    for n in range(order + 1):
+        fact *= n or 1
+        m, odd = divmod(n, 2)
+        coeffs.append(Rational(0 if odd else (-1) ** m * secant[m], 2 * 4**m * fact))
+    return PowerSeries("x", coeffs, order)
+
+
+@lru_cache(maxsize=None)
+def _ahat_power(k: int) -> PowerSeries:
+    """F^{2k-1} at order 2k, the series ahat_Bc evaluates at u: one entry per k."""
+    return _ahat_factor(2 * k) ** (2 * k - 1)
 
 
 def ahat_Bc(spec: RingSpec) -> CohClass:
     """The A-hat class of the base, via the Chern-root factorization.
 
     The stable splitting has formal roots 2v, u with multiplicity 2k-1, and
-    u - c*v; each contributes one factor x/(e^{x/2}-e^{-x/2}).
+    u - c*v; each contributes one factor x/(e^{x/2}-e^{-x/2}).  F(u)^{2k-1}
+    needs only u^0..u^{2k}: the cached series power is evaluated once.
     """
     f = _ahat_factor(2 * spec.k)
     two_v = CohClass.v(spec).scale(2)
     u = CohClass.u(spec)
     u_minus_cv = CohClass.from_uv(spec, 1, -spec.c)
-    # F(u)^{2k-1} needs only u^0..u^{2k}: raise the series, then evaluate once
-    f_pow = f ** (2 * spec.k - 1)
     return (
         coh_eval_series(f, two_v)
-        * coh_eval_series(f_pow, u)
+        * coh_eval_series(_ahat_power(spec.k), u)
         * coh_eval_series(f, u_minus_cv)
     )
 
@@ -336,6 +398,9 @@ def relative_eta(params: FamilyParams) -> EtaReport:
 
 
 def _check_k(k: int):
+    # before any per-k cache, where 2.0 would read the entry of k = 2
+    if type(k) is not int:
+        raise InvalidParams(f"k must be an int, got {k!r}")
     if k < 2:
         raise InvalidParams(f"k must be >= 2, got {k}")
     if k > MAX_K:
@@ -419,8 +484,14 @@ def a1_poly_in_s(k: int) -> UniPoly:
     certificate evaluates; F and G are the same cache entries, truncated at
     u^{2k}, that reports read.  F^{2k} and G are cleared once, so the
     coefficients are the integers -(n+1) F_{2k-1-n} G_{n+1} over d_F * d_G.
+    The polynomial depends on k alone and is built once per k.
     """
     _check_k(k)
+    return _a1_poly(k)
+
+
+@lru_cache(maxsize=None)
+def _a1_poly(k: int) -> UniPoly:
     top = 2 * k - 1
     d_f, f_terms = _cleared((_ahat_factor(2 * k).truncate(top) ** (2 * k)).coeffs)
     d_g, g_terms = _cleared(_inv_two_cosh(2 * k).coeffs)

@@ -317,7 +317,10 @@ def _refuse(*args, **kwargs):
     raise AssertionError("series or ring work started before the input was checked")
 
 
-SERIES_WORK = ("ahat_Bc", "_sech_factor", "ps_exp", "_ahat_factor", "_inv_two_cosh", "_t_factor")
+SERIES_WORK = (
+    "ahat_Bc", "_sech_factor", "ps_exp", "_ahat_factor", "_inv_two_cosh", "_ahat_power",
+    "_a1_poly", "_t_factor",
+)
 
 
 @pytest.mark.parametrize("argv", [
@@ -453,14 +456,20 @@ def _break_ring_integral(monkeypatch):
     ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "3"],
     ["family", "-k", "3", "-c", "-1", "-s", "4", "--t-min", "1", "--t-max", "9"],
 ])
-def test_internal_consistency_failure_exit_2(capsys, monkeypatch, breaker, argv):
-    breaker(monkeypatch)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("internal consistency failure: ring integral ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+def test_internal_consistency_failure_exit_2(capsys, monkeypatch, cold_caches, breaker, argv):
+    # the per-k caches sit below both breakers: each must fail a request
+    # with k's caches cold, and again once a clean request has warmed them
+    for warm in (False, True):
+        if warm:
+            assert run_cli(capsys, *argv)[0] == 0
+        with monkeypatch.context() as patch:
+            breaker(patch)
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("internal consistency failure: ring integral ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 VERIFY_PAPER_STDOUT = """\

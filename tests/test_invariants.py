@@ -25,6 +25,7 @@ from etainv.invariants import (
     relative_eta,
     s2_closed_form,
 )
+from etainv.series import PowerSeries, ps_exp
 from etainv.zcohomology import cohomology_Mbar
 
 
@@ -153,58 +154,80 @@ def test_reports_truncated_at_2k_are_exact(k):
         assert decompose_affine_in_t(k, c, s) == (report.A0, report.A1)
 
 
-def test_reports_and_a1_poly_share_one_series_cache_entry():
-    for cache in (invariants._ahat_factor, invariants._inv_two_cosh):
-        cache.cache_clear()
+def test_reports_and_a1_poly_share_one_series_cache_entry(cold_caches):
     relative_eta(FamilyParams(6, 1, 2, 3))
     a1_poly_in_s(6)
     assert invariants._ahat_factor.cache_info().misses == 1
     assert invariants._inv_two_cosh.cache_info().misses == 1
 
 
-# -- series-free oracles for the two cached series ---------------------------
+def test_warm_request_raises_no_series_power(cold_caches, monkeypatch):
+    # F^{2k-1} and A1(s) are built once per k; a request at a warm k with new
+    # (c, s, t) still takes its own two ring integrals
+    relative_eta(FamilyParams(8, 1, 2, 3))
+    power, integral = PowerSeries.__pow__, invariants.coh_integrate_product
+    calls = {"pow": 0, "integral": 0}
+
+    def counted_pow(f, n):
+        calls["pow"] += 1
+        return power(f, n)
+
+    def counted_integral(a, b):
+        calls["integral"] += 1
+        return integral(a, b)
+
+    monkeypatch.setattr(PowerSeries, "__pow__", counted_pow)
+    monkeypatch.setattr(invariants, "coh_integrate_product", counted_integral)
+    report = relative_eta(FamilyParams(8, -5, 6, 7))
+    assert calls == {"pow": 0, "integral": 2}
+    assert report.a_value == local_datum(FamilyParams(8, -5, 6, 7))
 
 
-def _bernoulli_over(n_max: int):
-    """(L, [L*B_0, ..., L*B_n_max]) by the Akiyama-Tanigawa algorithm, in integers.
+@pytest.mark.parametrize("k", [2, 16, 64])
+def test_production_calls_no_exp_and_no_division(cold_caches, monkeypatch, k):
+    def refuse(*args, **kwargs):
+        raise AssertionError("production built a series through exp or division")
 
-    Kaneko, J. Integer Seq. 3 (2000): a_m = 1/(m+1), then
-    a_{j-1} = j (a_{j-1} - a_j) for j = m..1, and B_m = a_0 (with B_1 = +1/2).
-    Every step is an integer combination, so the a_j stay integers over
-    L = lcm(1..n_max+1).
-    """
-    L = math.lcm(*range(1, n_max + 2))
-    a, out = [], []
-    for m in range(n_max + 1):
-        a.append(L // (m + 1))
-        for j in range(m, 0, -1):
-            a[j - 1] = j * (a[j - 1] - a[j])
-        out.append(a[0])
-    return L, out
+    monkeypatch.setattr(invariants, "ps_exp", refuse)
+    monkeypatch.setattr(PowerSeries, "divide", refuse)
+    relative_eta(FamilyParams(k, 3, 2, 5))
+    assert family_scan(k, -1, 4, [1, 3, 5]).distinct_count == 3
+    assert a1_poly_in_s(k).degree() == 2 * k - 1
+    assert find_good_s(k, [2, -6]) == [2, -6]
 
 
-def _secant_numbers(m_max: int):
-    """|E_0|, |E_2|, ..., |E_{2 m_max}| from the Seidel boustrophedon.
+def test_non_int_k_is_refused_before_any_cache(cold_caches):
+    # a k-keyed cache would answer k = 2.0 with the entry of k = 2
+    for warm in (False, True):
+        for route in (a1_poly_in_s, lambda k: find_good_s(k, [2]), lambda k: FamilyParams(k, 1, 2, 3)):
+            with pytest.raises(InvalidParams, match=r"^k must be an int, got 2\.0$"):
+                route(2.0)
+        relative_eta(FamilyParams(2, 1, 2, 3))
+    with pytest.raises(InvalidParams, match=r"^k must be an int, got True$"):
+        a1_poly_in_s(True)
 
-    Row n is E(n, 0) = 0 (n > 0), E(n, j) = E(n, j-1) + E(n-1, n-j); its last
-    entry is the zigzag number A_n, and A_{2m} = |E_{2m}|
-    (Millar, Sloane & Young, JCTA 1996).
-    """
-    row, zigzag = [1], [1]
-    for n in range(1, 2 * m_max + 1):
-        new = [0]
-        for j in range(1, n + 1):
-            new.append(new[j - 1] + row[n - j])
-        row = new
-        zigzag.append(row[n])
-    return zigzag[::2]
+
+# -- the ps_exp/divide route as the oracle for the two closed forms ------------
+
+
+def _ahat_factor_by_series(order: int) -> PowerSeries:
+    denom = ps_exp(Rational(1, 2), order + 1) - ps_exp(Rational(-1, 2), order + 1)
+    # divide numerator and denominator by x; the shifted series is a unit
+    shifted = PowerSeries("x", denom.coeffs[1:], order)
+    return PowerSeries.constant("x", 1, order).divide(shifted)
+
+
+def _inv_two_cosh_by_series(order: int) -> PowerSeries:
+    denom = ps_exp(Rational(1, 2), order) + ps_exp(Rational(-1, 2), order)
+    return PowerSeries.constant("x", 1, order).divide(denom)
 
 
 def test_ahat_factor_is_the_bernoulli_closed_form():
     # F_n = (2^{1-n} - 1) B_n / n! = (2 - 2^n) (L B_n) / (L 2^n n!), compared crosswise
     order = 128
     f = invariants._ahat_factor(order)
-    L, lb = _bernoulli_over(order)
+    assert f == _ahat_factor_by_series(order)
+    L, lb = invariants._bernoulli_over(order)
     assert lb[:3] == [L, L // 2, L // 6]
     for n in range(order + 1):
         num, den = (2 - 2**n) * lb[n], L * 2**n * math.factorial(n)
@@ -215,7 +238,8 @@ def test_inv_two_cosh_is_the_euler_closed_form():
     # G_{2m} = E_{2m} / (2 * 4^m * (2m)!) with E_{2m} = (-1)^m |E_{2m}|; odd G_n vanish
     order = 128
     g = invariants._inv_two_cosh(order)
-    secant = _secant_numbers(order // 2)
+    assert g == _inv_two_cosh_by_series(order)
+    secant = invariants._secant_numbers(order // 2)
     assert secant[:4] == [1, 1, 5, 61]
     assert (g.coeffs[2], g.coeffs[4]) == (Rational(-1, 16), Rational(5, 768))
     for n in range(order + 1):
@@ -225,6 +249,12 @@ def test_inv_two_cosh_is_the_euler_closed_form():
         m = n // 2
         num, den = (-1) ** m * secant[m], 2 * 4**m * math.factorial(n)
         assert g.coeffs[n].numerator * den == num * g.coeffs[n].denominator, n
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 16, 49])
+def test_closed_forms_match_the_series_route_at_every_order(order):
+    assert invariants._ahat_factor(order) == _ahat_factor_by_series(order)
+    assert invariants._inv_two_cosh(order) == _inv_two_cosh_by_series(order)
 
 
 # -- A1 paths ----------------------------------------------------------------
