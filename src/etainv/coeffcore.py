@@ -1,17 +1,13 @@
-"""Exact rationals, the integer convolution behind every product, and
-``UniPoly``, the polynomial ``A1(s)``.
+"""Exact rationals, the integer convolution behind series and polynomial
+products, and ``UniPoly``, the polynomial ``A1(s)``.
 
 Rationals are stdlib ``fractions.Fraction``: arbitrary precision, always in
-lowest terms with a positive denominator.
-
-Products clear their rational inputs once, with :func:`_cleared` (the lcm of
-the denominators and the integer numerators over it), accumulate the products
-of the integer numerators with :func:`_int_convolve`, and build one rational
-per nonzero output coefficient, so a product costs one gcd per coefficient
-rather than one per term (Knuth, TAOCP vol. 2, 4.5.1).  ``PowerSeries``
-products, the series powers and division, and series evaluation in the ring
-all run on these two helpers; a ``CohClass`` and a ``UniPoly`` keep integer
-numerators over one denominator, so their products need no clearing.
+lowest terms with a positive denominator.  They are the input and output
+form only: ``PowerSeries``, ``CohClass`` and ``UniPoly`` all keep integer
+numerators over one denominator, so a product convolves the numerators
+(:func:`_int_convolve`) over the product of the denominators and reduces
+the result by one gcd, rather than one gcd per term (Knuth, TAOCP vol. 2,
+4.5.1).
 
 ``UniPoly`` is the return type of ``a1_poly_in_s``, stored as ``CohClass``
 stores a class: integer numerators over one positive denominator, with the
@@ -23,7 +19,7 @@ is kept for the layer tracer in ``perfbench/tracing.py``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 __all__ = [
     "Rational",
@@ -38,14 +34,8 @@ Rational = Fraction
 RATIONAL_BACKEND = "fraction"
 
 
-def _cleared(seq) -> tuple:
-    """(d, terms): d the lcm of seq's denominators, terms the integer (i, seq[i]*d) of each nonzero entry."""
-    d = lcm(*[x.denominator for x in seq])
-    return d, [(i, x.numerator * (d // x.denominator)) for i, x in enumerate(seq) if x]
-
-
 def _int_convolve(n: int, a_terms, b_terms) -> list:
-    """acc[m] = sum of x*y over the terms (i, x), (j, y) of _cleared with i + j = m < n."""
+    """acc[m] = sum of x*y over the int terms (i, x), (j, y), sorted by index, with i + j = m < n."""
     acc = [0] * n
     for i, x in a_terms:
         limit = n - i

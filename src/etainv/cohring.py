@@ -17,9 +17,9 @@ Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f at a degree-2 class a*u + b*v in closed form, as
 f(a*u) + b*v*f'(a*u), and :func:`coh_integrate_product` reads the integral
 of a product from its two factors in O(k) without forming it.  Both run on
-the integer numerators: f is cleared of denominators once, the sums run in
-integers, and the result is one canonical class or one rational.  No k
-above MAX_K (64) is accepted.
+integer numerators, the series' and the classes', so the sums run in
+integers and the result is one canonical class or one rational.  No k above
+MAX_K (64) is accepted.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import mul
 
-from .coeffcore import Rational, _cleared, rat_to_str
+from .coeffcore import Rational, rat_to_str
 from .series import PowerSeries
 
 __all__ = [
@@ -63,12 +63,15 @@ class InsufficientOrder(ValueError):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Parameters (k, c) of the ring; k >= 2 and c odd are standing assumptions."""
+    """Parameters (k, c) of the ring, both ints; k >= 2 and c odd are standing assumptions."""
 
     k: int
     c: int
 
     def __post_init__(self):
+        for name in ("k", "c"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.k > MAX_K:
@@ -93,16 +96,12 @@ class CohClass:
         p, q = list(p), list(q)
         if len(p) > n or len(q) > n:
             raise ValueError("coefficients exceed normal-form degree bound; reduce first")
-        # ints are their own numerators: only other entries become Rationals
-        p = [c if isinstance(c, int) else Rational(c) for c in p]
-        q = [c if isinstance(c, int) else Rational(c) for c in q]
-        den = lcm(*[c.denominator for c in p], *[c.denominator for c in q])
-        self._assign(
-            spec,
-            den,
-            tuple(c.numerator * (den // c.denominator) for c in p) + (0,) * (n - len(p)),
-            tuple(c.numerator * (den // c.denominator) for c in q) + (0,) * (n - len(q)),
-        )
+        den = 1  # ints are their own numerators; rationals go over the lcm of their denominators
+        if not all(type(c) is int for c in p + q):
+            p, q = [Rational(c) for c in p], [Rational(c) for c in q]
+            den = lcm(*[c.denominator for c in p + q])
+            p, q = ([c.numerator * (den // c.denominator) for c in cs] for cs in (p, q))
+        self._assign(spec, den, tuple(p) + (0,) * (n - len(p)), tuple(q) + (0,) * (n - len(q)))
 
     @classmethod
     def _canonical(cls, spec: RingSpec, den: int, P: tuple, Q: tuple) -> "CohClass":
@@ -283,7 +282,7 @@ def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:
     """sum_n f_n * x^n at a degree-2 class x = a*u + b*v; a finite sum by nilpotency.
 
     As v^2 = 0, f(x) = f(a*u) + b*v*f'(a*u).  With x = (A*u + B*v)/D from the
-    class's numerators and f cleared once (f_m = F_m/d_f), over d_f*D^{2k+1}
+    class's numerators and f_m = F_m/d_f from the series', over d_f*D^{2k+1}
     the coefficient of u^m is F_m A^m D^{2k+1-m} and that of u^m*v is
     B (m+1) F_{m+1} A^m D^{2k-m}; the u^{2k} term F_{2k} A^{2k} D folds into
     c*u^{2k-1}*v.  O(k) integer products and one canonical class.  Requires
@@ -298,17 +297,16 @@ def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:
         raise InsufficientOrder(
             f"series order {f.order} < 2k = {n}; higher terms would be lost"
         )
-    d_f, f_terms = _cleared(f.coeffs[: n + 1])
-    F = dict(f_terms)
+    F = f.nums
     A, B, D = x.P[1], x.Q[0], x.den
     # A^m and D^m, one multiply per step
     a_pow = list(accumulate(repeat(A, n), mul, initial=1))
     d_pow = list(accumulate(repeat(D, n + 1), mul, initial=1))
-    P = tuple(F.get(m, 0) * a_pow[m] * d_pow[n + 1 - m] for m in range(n))
-    Q = [B * (m + 1) * F.get(m + 1, 0) * a_pow[m] * d_pow[n - m] for m in range(n)]
+    P = tuple(F[m] * a_pow[m] * d_pow[n + 1 - m] for m in range(n))
+    Q = [B * (m + 1) * F[m + 1] * a_pow[m] * d_pow[n - m] for m in range(n)]
     # u^{2k} folds into c*u^{2k-1}*v
-    Q[n - 1] += x.spec.c * F.get(n, 0) * a_pow[n] * D
-    return CohClass._canonical(x.spec, d_f * d_pow[n + 1], P, tuple(Q))
+    Q[n - 1] += x.spec.c * F[n] * a_pow[n] * D
+    return CohClass._canonical(x.spec, f.den * d_pow[n + 1], P, tuple(Q))
 
 
 def coh_integrate(a: CohClass):

@@ -34,8 +34,9 @@ coefficient can change a, eta_rel, (A0, A1) or A1(s).  Production code reads
 one cache entry per k from each of _ahat_factor and _inv_two_cosh, built from
 the integer closed forms of F (Bernoulli numbers) and G (Euler numbers), and
 one from each of _ahat_power (F^{2k-1}) and the polynomial A1(s), which
-depend on k alone.  It calls no ps_exp and no series division; that route is
-the oracle in a1_residue and in verify's series_engine criterion.  Every
+depend on k alone.  It calls no ps_exp and no series division; that route
+builds F and G again in a1_direct, a1_residue and verify's series_engine
+criterion, so the closed forms are checked against it at run time.  Every
 request still takes its own certificate at its own (k, c, s).
 
 Work limits, checked before any series work: k <= MAX_K (64), |c|, |s| and
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .coeffcore import Rational, UniPoly, _cleared, rat_to_str
+from .coeffcore import Rational, UniPoly, rat_to_str
 from .cohring import (
     MAX_K,
     CohClass,
@@ -240,15 +241,16 @@ def _ahat_factor(order: int) -> PowerSeries:
     """F(x) = x / (e^{x/2} - e^{-x/2}) = 1 - x^2/24 + 7x^4/5760 - ..., truncated.
 
     From the closed form F_n = (2^{1-n} - 1) B_n / n!, with the Bernoulli
-    numbers as integers L*B_n over one L (:func:`_bernoulli_over`):
-    F_n = (2 - 2^n) (L B_n) / (L 2^n n!), one Fraction per coefficient.
+    numbers as integers L*B_n over one L (:func:`_bernoulli_over`): over the
+    one denominator L 2^N N! (N = order) the numerator of F_n is
+    (2 - 2^n) (L B_n) 2^(N-n) N!/n!.
     """
     L, lb = _bernoulli_over(order)
-    coeffs, fact = [], 1
-    for n in range(order + 1):
-        fact *= n or 1
-        coeffs.append(Rational((2 - 2**n) * lb[n], L * 2**n * fact))
-    return PowerSeries("x", coeffs, order)
+    nums, fall = [], 1  # fall = N!/n!, from n = N down
+    for n in range(order, -1, -1):
+        nums.append(((2 - 2**n) * lb[n] << (order - n)) * fall)
+        fall *= n
+    return PowerSeries._canonical("x", order, L * 2**order * math.factorial(order), nums[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -257,15 +259,16 @@ def _inv_two_cosh(order: int) -> PowerSeries:
 
     From the closed form G_{2m} = E_{2m} / (2 4^m (2m)!), with the Euler
     numbers E_{2m} = (-1)^m |E_{2m}| from :func:`_secant_numbers`; G is even.
-    One Fraction per coefficient.
+    Over the one denominator 2 2^N N! (N = order) the numerator of G_{2m} is
+    E_{2m} 2^(N-2m) N!/(2m)!.
     """
     secant = _secant_numbers(order // 2)
-    coeffs, fact = [], 1
-    for n in range(order + 1):
-        fact *= n or 1
+    nums, fall = [], 1  # fall = N!/n!, from n = N down
+    for n in range(order, -1, -1):
         m, odd = divmod(n, 2)
-        coeffs.append(Rational(0 if odd else (-1) ** m * secant[m], 2 * 4**m * fact))
-    return PowerSeries("x", coeffs, order)
+        nums.append(0 if odd else ((-1) ** m * secant[m] << (order - n)) * fall)
+        fall *= n
+    return PowerSeries._canonical("x", order, 2**(order + 1) * math.factorial(order), nums[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +285,7 @@ def ahat_Bc(spec: RingSpec) -> CohClass:
     needs only u^0..u^{2k}: the cached series power is evaluated once.
     """
     f = _ahat_factor(2 * spec.k)
-    two_v = CohClass.v(spec).scale(2)
+    two_v = CohClass.from_uv(spec, 0, 2)
     u = CohClass.u(spec)
     u_minus_cv = CohClass.from_uv(spec, 1, -spec.c)
     return (
@@ -411,14 +414,18 @@ def _a1_series(k: int, s_val):
     """Coefficient of u^{2k-1} in the purely univariate A1 generating series.
 
     The series is (u/(e^{u/2}-e^{-u/2}))^{2k} * S/(2*C^2) with
-    S = e^{su/2}-e^{-su/2}, C = e^{su/2}+e^{-su/2}, at a rational s_val.
-    Truncated at 2k+2, not at the 2k of the report path, so it reads its own
-    _ahat_factor entry.
+    S = e^{su/2}-e^{-su/2}, C = e^{su/2}+e^{-su/2}, at a rational s_val,
+    truncated at 2k+2.  F = u/(e^{u/2}-e^{-u/2}) is built here by ps_exp and
+    series division, not read from the closed form that reports use.
     """
     _check_k(k)
     order = 2 * k + 2
-    ahat = PowerSeries("u", _ahat_factor(order).coeffs, order)
-    return (ahat ** (2 * k) * _t_factor(s_val * Rational(1, 2), order)).coeff(2 * k - 1)
+    half = Rational(1, 2)
+    w = ps_exp(half, order + 1, "u") - ps_exp(-half, order + 1, "u")
+    # F = 1/(w/u), and w/u is a unit
+    shifted = PowerSeries._canonical("u", order, w.den, w.nums[1:])
+    ahat = PowerSeries.constant("u", 1, order).divide(shifted)
+    return (ahat ** (2 * k) * _t_factor(s_val * half, order)).coeff(2 * k - 1)
 
 
 def _t_factor(half, order: int) -> PowerSeries:
@@ -482,8 +489,8 @@ def a1_poly_in_s(k: int) -> UniPoly:
     [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n.  T = -G' with G = 1/(2cosh(x/2)),
     so T_n = -(n+1) G_{n+1} is read from the cached series that the ring
     certificate evaluates; F and G are the same cache entries, truncated at
-    u^{2k}, that reports read.  F^{2k} and G are cleared once, so the
-    coefficients are the integers -(n+1) F_{2k-1-n} G_{n+1} over d_F * d_G.
+    u^{2k}, that reports read.  F^{2k} and G are stored as integers over d_F
+    and d_G, so the coefficients are -(n+1) F_{2k-1-n} G_{n+1} over d_F * d_G.
     The polynomial depends on k alone and is built once per k.
     """
     _check_k(k)
@@ -493,11 +500,10 @@ def a1_poly_in_s(k: int) -> UniPoly:
 @lru_cache(maxsize=None)
 def _a1_poly(k: int) -> UniPoly:
     top = 2 * k - 1
-    d_f, f_terms = _cleared((_ahat_factor(2 * k).truncate(top) ** (2 * k)).coeffs)
-    d_g, g_terms = _cleared(_inv_two_cosh(2 * k).coeffs)
-    f, g = dict(f_terms), dict(g_terms)
-    nums = [-(n + 1) * f.get(top - n, 0) * g.get(n + 1, 0) for n in range(top + 1)]
-    return UniPoly("s", nums, d_f * d_g)
+    f = _ahat_factor(2 * k).truncate(top) ** (2 * k)
+    g = _inv_two_cosh(2 * k)
+    nums = [-(n + 1) * f.nums[top - n] * g.nums[n + 1] for n in range(top + 1)]
+    return UniPoly("s", nums, f.den * g.den)
 
 
 def find_good_s(k: int, s_candidates) -> list[int]:

@@ -1,28 +1,27 @@
-"""Truncated formal power series over Q.
+"""Truncated formal power series over Q, stored as integers.
 
-A series carries its variable tag and an explicit truncation order N; the
-coefficient list always has exactly N+1 rationals (``int`` or ``Fraction``)
-and no operation ever reports a coefficient beyond the truncation.
-Mixed-order arithmetic truncates to the minimum order.
+A series carries its variable tag, an explicit truncation order N, and its
+N+1 coefficients as integer numerators ``nums`` over one denominator ``den``,
+as ``CohClass`` and ``UniPoly`` store theirs: den > 0 and
+gcd(den, *nums) == 1, so equal series have equal integers.  The constructor
+takes ``int`` or ``Fraction`` coefficients; ``coeffs`` and :meth:`coeff`
+build ``Fraction``s only when asked.  No coefficient beyond the truncation is
+ever reported, and mixed-order arithmetic truncates to the minimum order.
 
-A product clears both operands once (:func:`~etainv.coeffcore._cleared`),
-convolves the integer numerators (:func:`~etainv.coeffcore._int_convolve`)
-and builds one ``Fraction`` per nonzero output coefficient.  The two
-triangular recurrences, :meth:`PowerSeries.__pow__` and
-:meth:`PowerSeries.divide`, run on integers too.  Each input is cleared once
-(:func:`~etainv.coeffcore._cleared`); the outputs found so far are kept as
-integer numerators over one running denominator, the lcm of their
-denominators (:func:`_append_over`); so the sum behind each new coefficient
-is integer multiply-adds, and the coefficient is one ``Fraction``, reduced
-by one gcd.  Every output stays in lowest terms, so the running denominator
-is no larger than the lcm of the outputs' own denominators.
+Every operation runs on the integers and reduces its result by one gcd
+(:meth:`PowerSeries._canonical`): a product is one integer convolution
+(:func:`~etainv.coeffcore._int_convolve`) over den_a*den_b.  The triangular
+recurrences of ``**`` and :meth:`PowerSeries.divide` keep the outputs found so
+far as integers over one running denominator, the lcm of their reduced
+denominators (:func:`_append_over`), so each new coefficient is an integer
+sum and one gcd.
 """
 
 from __future__ import annotations
 
-import math
+from math import factorial, gcd, lcm
 
-from .coeffcore import Rational, _cleared, _int_convolve
+from .coeffcore import Rational, _int_convolve
 
 __all__ = [
     "PowerSeries",
@@ -55,25 +54,31 @@ class OrderExceeded(IndexError):
     """Coefficient request beyond the truncation order."""
 
 
-def _append_over(nums: list, den: int, q) -> int:
-    """Append the rational q to nums, integer numerators over den; return the new den.
+def _append_over(nums: list, den: int, num: int, q: int) -> int:
+    """Append num/q (q != 0) to nums, integer numerators over den; return the new den.
 
-    When q's denominator does not divide den, every entry of nums is first
-    rescaled to the lcm of the two, which becomes the new den.
+    num/q is reduced first; when its denominator does not divide den, every
+    entry of nums is rescaled to the lcm of the two, which becomes the new den.
     """
-    d = q.denominator
-    if den % d:
-        scale = d // math.gcd(den, d)
+    g = gcd(num, q) if q > 0 else -gcd(num, q)
+    num, q = num // g, q // g
+    if den % q:
+        scale = q // gcd(den, q)
         nums[:] = [x * scale for x in nums]
         den *= scale
-    nums.append(q.numerator * (den // d))
+    nums.append(num * (den // q))
     return den
 
 
-class PowerSeries:
-    """f = sum_{n=0}^{order} coeffs[n] * variable^n, exact."""
+def _terms(nums) -> list:
+    """The (i, x) of each nonzero entry, the operand form of _int_convolve."""
+    return [(i, x) for i, x in enumerate(nums) if x]
 
-    __slots__ = ("variable", "order", "coeffs")
+
+class PowerSeries:
+    """f = sum_{n=0}^{order} (nums[n]/den) * variable^n: order + 1 ints over den, immutable."""
+
+    __slots__ = ("variable", "order", "den", "nums")
 
     def __init__(self, variable: str, coeffs, order: int | None = None):
         cs = list(coeffs)
@@ -82,10 +87,25 @@ class PowerSeries:
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         cs = cs[: order + 1]
-        cs += [0] * (order + 1 - len(cs))
+        den = lcm(*[c.denominator for c in cs])
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        self._assign(variable, order, den, nums + [0] * (order + 1 - len(cs)))
+
+    @classmethod
+    def _canonical(cls, variable: str, order: int, den: int, nums) -> "PowerSeries":
+        """The series nums/den from order + 1 ints and an int den > 0, reduced by one gcd."""
+        return object.__new__(cls)._assign(variable, order, den, nums)
+
+    def _assign(self, variable: str, order: int, den: int, nums) -> "PowerSeries":
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(nums))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
@@ -103,26 +123,33 @@ class PowerSeries:
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The order + 1 coefficients as Rationals, lowest degree first."""
+        return tuple(Rational(x, self.den) for x in self.nums)
+
     def coeff(self, n: int):
         """The exact coefficient of variable^n; OrderExceeded past truncation."""
         if n < 0:
             raise OrderExceeded(f"negative degree {n}")
         if n > self.order:
             raise OrderExceeded(f"degree {n} exceeds truncation order {self.order}")
-        return self.coeffs[n]
+        return Rational(self.nums[n], self.den)
 
     def truncate(self, order: int) -> "PowerSeries":
         if order >= self.order:
             return self
-        return PowerSeries(self.variable, self.coeffs, order)
+        return PowerSeries._canonical(self.variable, order, self.den, self.nums[: order + 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return (self.variable, self.order, self.coeffs) == (other.variable, other.order, other.coeffs)
+        return (self.variable, self.order, self.den, self.nums) == (
+            other.variable, other.order, other.den, other.nums
+        )
 
     def __hash__(self):
-        return hash((self.variable, self.order, self.coeffs))
+        return hash((self.variable, self.order, self.den, self.nums))
 
     # -- ring arithmetic ---------------------------------------------------
 
@@ -137,19 +164,23 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return self.shift_const(other)
         n = self._align(other)
-        return PowerSeries(
-            self.variable, (self.coeffs[i] + other.coeffs[i] for i in range(n + 1)), n
-        )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        nums = [a * fa + b * fb for a, b in zip(self.nums[: n + 1], other.nums)]
+        return PowerSeries._canonical(self.variable, n, den, nums)
 
     __radd__ = __add__
 
     def shift_const(self, c) -> "PowerSeries":
-        cs = list(self.coeffs)
-        cs[0] = cs[0] + c
-        return PowerSeries(self.variable, cs, self.order)
+        """self + c for a rational c."""
+        den = lcm(self.den, c.denominator)
+        scale = den // self.den
+        nums = [x * scale for x in self.nums]
+        nums[0] += c.numerator * (den // c.denominator)
+        return PowerSeries._canonical(self.variable, self.order, den, nums)
 
     def __neg__(self):
-        return PowerSeries(self.variable, (-c for c in self.coeffs), self.order)
+        return PowerSeries._canonical(self.variable, self.order, self.den, [-x for x in self.nums])
 
     def __sub__(self, other):
         if not isinstance(other, PowerSeries):
@@ -160,15 +191,16 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return self.scale(other)
         n = self._align(other)
-        da, a_terms = _cleared(self.coeffs[: n + 1])
-        db, b_terms = _cleared(other.coeffs[: n + 1])
-        out = _int_convolve(n + 1, a_terms, b_terms)
-        return PowerSeries(self.variable, (Rational(c, da * db) if c else 0 for c in out), n)
+        out = _int_convolve(n + 1, _terms(self.nums[: n + 1]), _terms(other.nums[: n + 1]))
+        return PowerSeries._canonical(self.variable, n, self.den * other.den, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "PowerSeries":
-        return PowerSeries(self.variable, (c * a for a in self.coeffs), self.order)
+        """c * self for a rational c."""
+        p = c.numerator
+        nums = [p * x for x in self.nums]
+        return PowerSeries._canonical(self.variable, self.order, self.den * c.denominator, nums)
 
     def __pow__(self, n: int):
         """self**n by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), O(order^2).
@@ -178,113 +210,108 @@ class PowerSeries:
         A series whose lowest nonzero term is f_v x^v is raised as
         x^{nv} (f/x^v)**n; f_v is nonzero, so a unit of Q.
 
-        f/x^v is cleared once, f_j = a_j/D, and g_0..g_{m-1} are kept as
-        integers G_i over one running denominator L, so the D cancels and
+        With f/x^v = (a_0 + a_1 x + ...)/den and g_0..g_{m-1} kept as integers
+        G_i over one running denominator L, the den cancels past g_0 and
         g_m = sum_j ((n+1) j - m) a_j G_{m-j} / (m a_0 L): an integer sum and
-        one Fraction per coefficient.
+        one gcd per coefficient.
         """
         if n < 0:
             raise ValueError("negative series power; use divide")
         order = self.order
         if n == 0:
             return PowerSeries.constant(self.variable, 1, order)
-        v = next((i for i, c in enumerate(self.coeffs) if c), None)
+        v = next((i for i, c in enumerate(self.nums) if c), None)
         if v is None or n * v > order:
             return PowerSeries(self.variable, (), order)
         top = order - n * v
-        f = self.coeffs[v : v + top + 1]
-        _, a_terms = _cleared(f)
-        (_, a0), *a_terms = a_terms
-        g = [f[0] ** n]
-        nums = [g[0].numerator]
-        den = g[0].denominator
+        a0 = self.nums[v]
+        a_terms = _terms(self.nums[v : v + top + 1])[1:]
+        nums = []
+        den = _append_over(nums, 1, a0**n, self.den**n)
         for m in range(1, top + 1):
             acc = 0
             for j, a in a_terms:
                 if j > m:
                     break
                 acc += ((n + 1) * j - m) * a * nums[m - j]
-            g.append(Rational(acc, m * a0 * den))
-            den = _append_over(nums, den, g[m])
-        return PowerSeries(self.variable, [0] * (n * v) + g, order)
+            den = _append_over(nums, den, acc, m * a0 * den)
+        return PowerSeries._canonical(self.variable, order, den, [0] * (n * v) + nums)
 
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """h with h * other = self to the common truncation order.
 
-        Requires other(0) to be nonzero.  Both operands are cleared once,
-        self_m = c_m/C and other_j = b_j/B, and h_0..h_{m-1} are kept as
-        integers H_i over one running denominator L, so
-        h_m = (c_m B L - C sum_{j>=1} b_j H_{m-j}) / (C L b_0): an integer
-        sum and one Fraction per coefficient.
+        Requires other(0) to be nonzero.  With self = c/C and other = b/B,
+        h = h'/C where h' * other = c; h'_0..h'_{m-1} are kept as integers
+        H_i over one running denominator L, so
+        h'_m = (c_m B L - sum_{j>=1} b_j H_{m-j}) / (b_0 L): an integer sum
+        and one gcd per coefficient.
         """
         n = self._align(other)
-        if not other.coeffs[0]:
+        b0 = other.nums[0]
+        if not b0:
             raise NonUnitConstantTerm("constant term is zero")
-        c_den, c_terms = _cleared(self.coeffs[: n + 1])
-        b_den, b_terms = _cleared(other.coeffs[: n + 1])
-        (_, b0), *b_terms = b_terms
-        cb = [0] * (n + 1)
-        for m, c in c_terms:
-            cb[m] = c * b_den
-        out = []
-        nums = []
-        den = 1
-        for m in range(n + 1):
-            acc = 0
+        b_terms = _terms(other.nums[: n + 1])[1:]
+        nums, den = [], 1
+        for m, c in enumerate(self.nums[: n + 1]):
+            acc = c * other.den * den
             for j, b in b_terms:
                 if j > m:
                     break
-                acc += b * nums[m - j]
-            out.append(Rational(cb[m] * den - c_den * acc, c_den * den * b0))
-            den = _append_over(nums, den, out[m])
-        return PowerSeries(self.variable, out, n)
+                acc -= b * nums[m - j]
+            den = _append_over(nums, den, acc, b0 * den)
+        return PowerSeries._canonical(self.variable, n, den * self.den, nums)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner), exact to min(self.order, inner.order); inner(0) must vanish."""
-        if inner.coeffs[0]:
+        """self(inner), exact to min(self.order, inner.order); inner(0) must vanish.
+
+        Horner in the outer variable on self's integer numerators, with
+        self.den applied once at the end.
+        """
+        if inner.nums[0]:
             raise NonzeroConstantInner("inner series has a nonzero constant term")
         n = min(self.order, inner.order)
         g = inner.truncate(n)
-        # Horner in the outer variable; truncation keeps every step O(n^2)
-        acc = PowerSeries.constant(g.variable, self.coeffs[n], n)
+        # truncation keeps every step O(n^2)
+        acc = PowerSeries.constant(g.variable, self.nums[n], n)
         for m in range(n - 1, -1, -1):
-            acc = acc * g + self.coeffs[m]
-        return acc
+            acc = acc * g + self.nums[m]
+        return PowerSeries._canonical(g.variable, n, acc.den * self.den, acc.nums)
 
     def revert(self) -> "PowerSeries":
         """Compositional inverse g with self(g) = id, by Lagrange inversion.
 
         Requires f(0) = 0 and a nonzero linear coefficient.
         """
-        if self.order < 1 or self.coeffs[0]:
+        if self.order < 1 or self.nums[0]:
             raise NotReversible("series must have zero constant term")
-        if not self.coeffs[1]:
+        if not self.nums[1]:
             raise NotReversible("linear coefficient must be a unit")
         n = self.order
         # self = x * h with h(0) a unit; q = 1/h, g_m = [x^{m-1}] q^m / m
-        h = PowerSeries(self.variable, self.coeffs[1:], n - 1)
-        one = PowerSeries.constant(self.variable, 1, h.order)
-        q = one.divide(h)
-        out = [0, q.coeffs[0]]
-        power = q
-        for m in range(2, n + 1):
+        h = PowerSeries._canonical(self.variable, n - 1, self.den, self.nums[1:])
+        power = PowerSeries.constant(self.variable, 1, n - 1)
+        q = power.divide(h)
+        nums, den = [0], 1
+        for m in range(1, n + 1):
             power = power * q
-            c = power.coeffs[m - 1]
-            out.append(c / m if c else 0)
-        return PowerSeries(self.variable, out, n)
+            den = _append_over(nums, den, power.nums[m - 1], m * power.den)
+        return PowerSeries._canonical(self.variable, n, den, nums)
 
     def __repr__(self):
         return f"PowerSeries({self.variable!r}, {list(self.coeffs)!r})"
 
 
 def ps_exp(a, order: int, variable: str = "x") -> PowerSeries:
-    """exp(a*x) truncated: sum_{n<=order} a^n x^n / n!."""
+    """exp(a*x) truncated: sum_{n<=order} a^n x^n / n!.
+
+    For a = p/q and N = order, the coefficient of x^n is
+    p^n q^(N-n) N!/n! over q^N N!; each numerator is the one before times p,
+    divided exactly by q n.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
-    a = Rational(a)
-    coeffs = [1]
-    num = 1
+    p, q = a.numerator, a.denominator
+    nums = [q**order * factorial(order)]
     for n in range(1, order + 1):
-        num = num * a
-        coeffs.append(num / math.factorial(n))
-    return PowerSeries(variable, coeffs, order)
+        nums.append(nums[-1] * p // (q * n))
+    return PowerSeries._canonical(variable, order, nums[0], nums)

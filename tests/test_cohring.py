@@ -1,11 +1,13 @@
 """Normal-form arithmetic in Q[u,v]/(v^2, u^{2k} - c*u^{2k-1}*v)."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etainv import cohring
 from etainv.cohring import (
     CohClass,
     InsufficientOrder,
@@ -25,6 +27,16 @@ def test_spec_validation():
         RingSpec(1, 1)
     with pytest.raises(ValueError):
         RingSpec(2, 2)
+
+
+@pytest.mark.parametrize(
+    "k, c", [(2.0, 1), (2, 1.0), (True, 1), (2, True), (Fraction(2), 1), (2, Fraction(1)), ("2", 1)]
+)
+def test_spec_refuses_a_k_or_c_that_is_not_an_int(k, c):
+    # RingSpec(2, 1.0) used to be accepted, and u**4 then failed inside gcd
+    name, value = ("k", k) if type(k) is not int else ("c", c)
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        RingSpec(k, c)
 
 
 def test_defining_relations():
@@ -319,3 +331,47 @@ def test_eval_series_at_degree_2_classes_matches_repeated_products(case):
     got = coh_eval_series(f, x)
     assert got == _eval_series_by_products(f, x)
     _assert_normal_form(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.sampled_from((1, -3, 5)),
+    st.integers(-(10**20), 10**20),
+    st.integers(-(10**20), 10**20),
+    st.lists(st.integers(-9, 9), max_size=10),
+    st.lists(st.integers(-9, 9), max_size=10),
+)
+def test_int_constructors_equal_their_fraction_builds(k, c, a, b, p, q):
+    spec = RingSpec(k, c)
+    p, q = p[: 2 * k], q[: 2 * k]
+    pairs = [
+        (CohClass.one(spec), CohClass(spec, (Fraction(1),))),
+        (CohClass.u(spec), CohClass(spec, (Fraction(0), Fraction(1)))),
+        (CohClass.v(spec), CohClass(spec, (), (Fraction(1),))),
+        (CohClass.from_uv(spec, a, b), CohClass.from_uv(spec, Fraction(a), Fraction(b))),
+        (CohClass(spec, p, q), CohClass(spec, [Fraction(x) for x in p], [Fraction(x) for x in q])),
+    ]
+    for x, y in pairs:
+        _assert_normal_form(x)
+        assert (x.den, x.P, x.Q) == (y.den, y.P, y.Q)
+        assert x == y and hash(x) == hash(y)
+
+
+def test_int_classes_are_built_without_a_rational(monkeypatch):
+    spec = RingSpec(3, -1)
+    u_minus_v = CohClass.from_uv(spec, 1, -1)
+
+    def refuse(*args):
+        raise AssertionError("an all-int class built a rational")
+
+    monkeypatch.setattr(cohring, "Rational", refuse)
+    built = [
+        CohClass.one(spec),
+        CohClass.u(spec),
+        CohClass.v(spec),
+        CohClass.from_uv(spec, 1, -1),
+        CohClass(spec, [0, 2, 0, 1], [5]),
+    ]
+    assert built[3] == u_minus_v
+    assert all(x.den == 1 for x in built)

@@ -1,8 +1,12 @@
 """Truncated power series: arithmetic, division, composition, reversion."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from etainv import invariants
 from etainv.coeffcore import Rational
 from etainv.invariants import _ahat_factor
 from etainv.series import (
@@ -263,3 +267,109 @@ def test_immutability():
     f = series8([1, 2])
     with pytest.raises(AttributeError):
         f.coeffs = ()
+
+
+# -- the integer layout: nums over one reduced den ---------------------------
+
+
+def _assert_canonical(f):
+    assert type(f.den) is int and f.den > 0
+    assert type(f.nums) is tuple and len(f.nums) == f.order + 1
+    assert all(type(x) is int for x in f.nums)
+    assert math.gcd(f.den, *f.nums) == 1
+    assert all(type(c) is Fraction for c in f.coeffs)
+    assert PowerSeries(f.variable, f.coeffs, f.order) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(product_coeffs, max_size=8),
+    st.lists(product_coeffs, max_size=8),
+    st.integers(min_value=0, max_value=8),
+    rationals.filter(bool),
+    st.integers(min_value=0, max_value=4),
+)
+def test_every_result_is_canonical(a, b, order, unit, n):
+    f = PowerSeries("x", a, order)
+    g = PowerSeries("x", [unit] + b, order)
+    nilpotent = PowerSeries("x", [0] + b, order)
+    results = [
+        f,
+        f + g,
+        f - g,
+        f * g,
+        f.divide(g),
+        f ** n,
+        f.compose(nilpotent),
+        ps_exp(unit, order),
+        PowerSeries("x", [0, unit] + b, order + 1).revert(),
+    ]
+    for h in results:
+        _assert_canonical(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(product_coeffs, max_size=9),
+    st.lists(product_coeffs, max_size=8),
+    rationals.filter(bool),
+)
+def test_equal_series_share_one_integer_form(a, b, w):
+    f = PowerSeries("x", a, 8)
+    g = PowerSeries("x", [w] + b, 8)
+    routes = [
+        PowerSeries("x", f.coeffs, 8),
+        PowerSeries._canonical("x", 8, 6 * f.den, [6 * x for x in f.nums]),
+        PowerSeries("x", f.coeffs + (w,), 9).truncate(8),
+        f * PowerSeries.constant("x", 1, 8),
+        (f + g) - g,
+        f.divide(g) * g,
+        (f * g).divide(g),
+        f.scale(w).scale(1 / w),
+        f.shift_const(w) - w,
+        f.compose(PowerSeries.identity("x", 8)),
+    ]
+    for h in routes:
+        assert (h.variable, h.order, h.den, h.nums) == (f.variable, f.order, f.den, f.nums)
+        assert hash(h) == hash(f)
+    assert ps_exp(w, 8) * ps_exp(w, 8) == ps_exp(2 * w, 8)
+    assert ps_exp(w, 8) ** 3 == ps_exp(3 * w, 8)
+
+
+def test_coeffs_are_fractions_and_the_integers_are_immutable():
+    f = PowerSeries("x", [1, Rational(1, 2), 0, 3], 5)
+    assert (f.den, f.nums) == (2, (2, 1, 0, 6, 0, 0))
+    assert f.coeffs == (1, Rational(1, 2), 0, 3, 0, 0)
+    assert all(type(c) is Fraction for c in f.coeffs)
+    assert type(f.coeff(0)) is Fraction and type(f.coeff(2)) is Fraction
+    for name in ("variable", "order", "den", "nums", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    assert f == PowerSeries("x", [1, Rational(1, 2), 0, 3], 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rationals, big_rationals), st.integers(min_value=0, max_value=12))
+@example(3, 5)
+@example(0, 4)
+@example(Rational(-7, 2), 0)
+def test_ps_exp_is_a_power_over_a_factorial_term_by_term(a, order):
+    e = ps_exp(a, order)
+    assert e.order == order
+    assert e.coeffs == tuple(Fraction(a) ** n / math.factorial(n) for n in range(order + 1))
+
+
+def test_closed_form_series_are_canonical_at_order_128():
+    # F_n = (2^{1-n} - 1) B_n / n! and G_{2m} = E_{2m} / (2 4^m (2m)!), as Fractions
+    order = 128
+    L, lb = invariants._bernoulli_over(order)
+    secant = invariants._secant_numbers(order // 2)
+    f_closed = [Fraction((2 - 2**n) * lb[n], L * 2**n * math.factorial(n)) for n in range(order + 1)]
+    g_closed = [
+        Fraction(0 if n % 2 else (-1) ** (n // 2) * secant[n // 2], 2**(n + 1) * math.factorial(n))
+        for n in range(order + 1)
+    ]
+    for series, closed in ((_ahat_factor(order), f_closed), (invariants._inv_two_cosh(order), g_closed)):
+        _assert_canonical(series)
+        assert series.coeffs == tuple(closed)
+        assert series.den == math.lcm(*[c.denominator for c in closed])
