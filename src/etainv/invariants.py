@@ -18,26 +18,33 @@ G(su + tv) = G(su) + t v G'(su) with G' = -T.  Integrating gives
 A1 = a1_poly_in_s(k)(s) and A0 = -c*s*A1/(2k), that is
 a = -A1(s) * (t + c*s/(2k)).  No ring work enters (A0, A1).
 
-The ring route certifies the split once per (k, c, s), for every t at once.
-t enters the ring integral I(t) of A-hat(B_c) times G(su + tv) only as the
-v-coefficient of su + tv, times t-free rationals, and v^2 = 0, so I(t) is
-affine in t.  Two rational ring integrals, I(0) and I(1), therefore fix it:
-I(0) must equal A0 and I(1) - I(0) must equal -A1, or AffinityViolation is
-raised.  relative_eta and family_scan share this certificate; each row is
-then a = A0 - A1*t, with no ring work.
-decompose_affine_in_t keeps the ring probes t = 1, 3, 5 as the oracle that
-verify and the tests compare against.
+The ring route certifies the split once per k, for every (c, s, t) at once.
+Write A-hat(B_c) = p + v q.  Its moments mu_j = integral of A-hat u^j =
+q_{2k-1-j} + c p_{2k-j} and nu_j = integral of A-hat u^j v = p_{2k-1-j}, and
+G(su + tv) = G(su) + t v G'(su) with v^2 = 0, give the ring integral of
+A-hat(B_c) times G(su + tv) exactly as
+I(s, t) = sum_j G_j mu_j s^j + t sum_j (j+1) G_{j+1} nu_j s^j.
+c enters affinely, so I = X(s) + c Y(s) + t Z(s) with three polynomials that
+depend on k alone (:func:`_ring_moments`).  They are built once per k from
+ahat_Bc at c = 1, 3 and -5 and checked coefficient by coefficient:
+X = 0, Y = -s A1(s)/(2k) and Z = -A1(s), or AffinityViolation is raised.
+Each request still compares: I(0) = c Y(s) must equal A0 and
+I(1) - I(0) = Z(s) must equal -A1, both by integer Horner with no ring work.
+relative_eta and family_scan share this check; each row is then
+a = A0 - A1*t.  decompose_affine_in_t (ring probes t = 1, 3, 5) and
+local_datum (the full four-factor product) stay as the oracles that verify
+and the tests compare against.
 
 Every series on the report path is truncated at u^{2k}: the ring has top
 class u^{2k-1}v in degree 4k and u^m = 0 there for m > 2k, so no higher
 coefficient can change a, eta_rel, (A0, A1) or A1(s).  Production code reads
 one cache entry per k from each of _ahat_factor and _inv_two_cosh, built from
 the integer closed forms of F (Bernoulli numbers) and G (Euler numbers), and
-one from each of _ahat_power (F^{2k-1}) and the polynomial A1(s), which
-depend on k alone.  It calls no ps_exp and no series division; that route
-builds F and G again in a1_direct, a1_residue and verify's series_engine
-criterion, so the closed forms are checked against it at run time.  Every
-request still takes its own certificate at its own (k, c, s).
+one from each of _ahat_power (F^{2k-1}), the polynomial A1(s) and the ring
+certificate _ring_moments, which depend on k alone.  It calls no ps_exp and
+no series division; that route builds F and G again in a1_direct, a1_residue
+and verify's series_engine criterion, so the closed forms are checked against
+it at run time.  A request at a warm k does no ring work.
 
 Work limits, checked before any series work: k <= MAX_K (64), |c|, |s| and
 |t| below PARAM_BOUND (2^63), at most MAX_T_VALUES (1000) t values per family
@@ -347,20 +354,96 @@ def _affine_split(k: int, c: int, s: int):
     return -c * s * A1 / (2 * k), A1
 
 
+# the c at which _ring_moments builds A-hat(B_c): 1 and 3 fix the fit in c, -5 checks it
+_BUILD_C = (1, 3, -5)
+
+
+def _moments_at(k: int, c: int):
+    """(d, M, N): integer polynomials with I(s, t) = (M(s) + t N(s)) / d at this c.
+
+    Over the numerators of ahat_Bc(RingSpec(k, c)) = (P + v Q)/D and of
+    G = g/d_G, with d = D d_G: M_j = g_j mu_j and N_j = (j+1) g_{j+1} nu_j,
+    where mu_j = Q_{2k-1-j} + c P_{2k-j} (u^{2k} folds into c u^{2k-1} v, and
+    P_{2k} = Q_{-1} = 0) and nu_j = P_{2k-1-j}.
+    """
+    n = 2 * k
+    ahat = ahat_Bc(RingSpec(k, c))
+    g = _inv_two_cosh(n)
+    P, Q, G = ahat.P, ahat.Q, g.nums
+    mu = [Q[n - 1]] + [Q[n - 1 - j] + c * P[n - j] for j in range(1, n)] + [c * P[0]]
+    M = [x * m for x, m in zip(G, mu)]
+    N = [(j + 1) * G[j + 1] * P[n - 1 - j] for j in range(n)]
+    return ahat.den * g.den, M, N
+
+
+@lru_cache(maxsize=None)
+def _ring_moments(k: int):
+    """(d, Y, Z): integer polynomials with I(s, t) = (c Y(s) + t Z(s)) / d for every c.
+
+    The ring certificate of the split, proved once per k.  c enters
+    A-hat(B_c) = p + v q affinely: as series, F(2v) and F(u)^{2k-1} are free
+    of c and F(u - cv) = F(u) - c v F'(u) is affine in it, and the ring's
+    fold u^{2k} -> c u^{2k-1} v moves c only into v-parts.  As v^2 = 0, no
+    product multiplies two v-parts, so p is free of c and q is affine in c;
+    then nu_j is free of c, mu_j is affine in c, and
+    I(s, t) = X(s) + c Y(s) + t Z(s).  The builds at c = 1 and 3
+    fix X, Y and Z; every build, c = -5 included, must equal that fit.  Then
+    X = 0, Y = -s A1(s)/(2k) and Z = -A1(s) are checked coefficient by
+    coefficient against A1(s), so I(t) = -A1(s) (t + cs/(2k)) = A0 - A1 t
+    for every (c, s, t).  Any failed check raises AffinityViolation.
+    """
+    builds = [_moments_at(k, c) for c in _BUILD_C]
+    (d1, M1, N1), (d3, M3, _) = builds[:2]
+    D = math.lcm(d1, d3)
+    f1, f3 = D // d1, D // d3
+    # over 2D: M1 = X + Y and M3 = X + 3Y
+    X = [3 * x * f1 - y * f3 for x, y in zip(M1, M3)]
+    Y = [y * f3 - x * f1 for x, y in zip(M1, M3)]
+    Z = [2 * f1 * x for x in N1]
+    for c, (d, M, N) in zip(_BUILD_C, builds):
+        fit = UniPoly("s", [x + c * y for x, y in zip(X, Y)], 2 * D)
+        if UniPoly("s", M, d) != fit or UniPoly("s", N, d) != UniPoly("s", Z, 2 * D):
+            raise AffinityViolation(
+                f"ring integral at c={c} is not X(s) + c*Y(s) + t*Z(s) as fitted at c=1, 3 (k={k})"
+            )
+    a1 = _a1_poly(k)
+    for name, ok in (
+        ("X(s) != 0", not any(X)),
+        ("Y(s) != -s*A1(s)/(2k)",
+         UniPoly("s", Y, 2 * D) == UniPoly("s", [0] + [-x for x in a1.nums], 2 * k * a1.den)),
+        ("Z(s) != -A1(s)", UniPoly("s", Z, 2 * D) == UniPoly("s", [-x for x in a1.nums], a1.den)),
+    ):
+        if not ok:
+            raise AffinityViolation(f"ring integral identity fails at k={k}: {name}")
+    g = math.gcd(2 * D, *Y, *Z)
+    return 2 * D // g, tuple(x // g for x in Y), tuple(x // g for x in Z)
+
+
+def _horner(nums, x: int) -> int:
+    acc = 0
+    for a in reversed(nums):
+        acc = acc * x + a
+    return acc
+
+
 def _ring_integrals(spec: RingSpec, s: int):
-    """(I(0), I(1)): the ring integrals of A-hat(B_c) times G(su + tv) at t = 0 and 1."""
-    ahat = ahat_Bc(spec)
-    return _datum_at(ahat, s, 0), _datum_at(ahat, s, 1)
+    """(I(0), I(1)): the ring integrals of A-hat(B_c) times G(su + tv) at t = 0 and 1.
+
+    (c Y(s), c Y(s) + Z(s)) over d from the per-k certificate
+    (:func:`_ring_moments`), by integer Horner: no ring work.
+    """
+    d, Y, Z = _ring_moments(spec.k)
+    i0 = spec.c * _horner(Y, s)
+    return Rational(i0, d), Rational(i0 + _horner(Z, s), d)
 
 
 def _certified_split(spec: RingSpec, s: int):
-    """(A0, A1) from the univariate identity, certified in the ring for every t.
+    """(A0, A1) from the univariate identity, checked against the ring certificate.
 
-    t enters the Euler class su + tv only as its v-coefficient, and v^2 = 0,
-    so G(su + tv) = G(su) + t v G'(su) and the ring integral I(t) of
-    A-hat(B_c) times it is affine in t: I(t) = I(0) + (I(1) - I(0)) t.
-    The two rational integrals (:func:`_ring_integrals`) must give I(0) = A0
-    and I(1) - I(0) = -A1.
+    The ring integral I(t) of A-hat(B_c) times G(su + tv) is affine in t,
+    and its two values I(0) and I(1) come from the polynomials that
+    :func:`_ring_moments` proved once per k.  They must give I(0) = A0 and
+    I(1) - I(0) = -A1 at this (c, s); the check runs on every request.
     """
     A0, A1 = _affine_split(spec.k, spec.c, s)
     i0, i1 = _ring_integrals(spec, s)
@@ -389,8 +472,9 @@ def _report(params: FamilyParams, A0, A1) -> EtaReport:
 def relative_eta(params: FamilyParams) -> EtaReport:
     """Full report: eta_rel = -2 * local datum, plus the affine decomposition.
 
-    (A0, A1) come from the univariate identity, certified once by the ring
-    integrals at t = 0 and 1, as for a family of one t.
+    (A0, A1) come from the univariate identity, checked against the ring
+    integrals at t = 0 and 1 that the per-k certificate gives, as for a
+    family of one t.
     """
     return _report(params, *_certified_split(params.spec, params.s))
 
@@ -488,7 +572,7 @@ def a1_poly_in_s(k: int) -> UniPoly:
     T(x) = sinh(x/2)/(2cosh(x/2))^2.  T(su) has coefficients T_n s^n, so
     [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n.  T = -G' with G = 1/(2cosh(x/2)),
     so T_n = -(n+1) G_{n+1} is read from the cached series that the ring
-    certificate evaluates; F and G are the same cache entries, truncated at
+    certificate reads; F and G are the same cache entries, truncated at
     u^{2k}, that reports read.  F^{2k} and G are stored as integers over d_F
     and d_G, so the coefficients are -(n+1) F_{2k-1-n} G_{n+1} over d_F * d_G.
     The polynomial depends on k alone and is built once per k.
@@ -567,9 +651,9 @@ def family_scan(k: int, c: int, s: int, t_values) -> ScanResult:
     MAX_T_VALUES t values, or any t past PARAM_BOUND, raise before any row.  Invalid t values are
     reported per entry and the scan continues; results are assembled in the
     order of the sequence t_values.  (A0, A1) depend only on (k, c, s): at
-    the first valid t they are certified once, for every t, by the ring
-    integrals at t = 0 and 1, and each valid row is then a = A0 - A1*t with
-    no ring work.
+    the first valid t they are checked once, for every t, against the ring
+    integrals at t = 0 and 1 from the per-k certificate, and each valid row
+    is then a = A0 - A1*t.
     """
     FamilyParams(k, c, s, 1)  # t = 1 is always valid, so this checks k, c and s alone
     count = _t_count(t_values)

@@ -13,5 +13,6 @@ def cold_caches():
         invariants._inv_two_cosh,
         invariants._ahat_power,
         invariants._a1_poly,
+        invariants._ring_moments,
     ):
         cache.cache_clear()

@@ -14,6 +14,7 @@ import etainv
 from etainv import invariants
 from etainv.cli import CSV_COLUMNS, main
 from etainv.coeffcore import UniPoly
+from etainv.cohring import CohClass
 
 
 def run_cli(capsys, *argv):
@@ -319,7 +320,7 @@ def _refuse(*args, **kwargs):
 
 SERIES_WORK = (
     "ahat_Bc", "_sech_factor", "ps_exp", "_ahat_factor", "_inv_two_cosh", "_ahat_power",
-    "_a1_poly", "_t_factor",
+    "_a1_poly", "_t_factor", "_ring_moments", "_moments_at",
 )
 
 
@@ -447,19 +448,47 @@ def _break_univariate_a1(monkeypatch):
 
 
 def _break_ring_integral(monkeypatch):
-    integral = invariants.coh_integrate_product
-    monkeypatch.setattr(invariants, "coh_integrate_product", lambda a, b: integral(a, b) + 1)
+    # shift the slope Z(s) of the per-k certificate by 1, cold or warm
+    moments = invariants._ring_moments
+
+    def shifted(k):
+        d, Y, Z = moments(k)
+        return d, Y, (Z[0] + d,) + Z[1:]
+
+    monkeypatch.setattr(invariants, "_ring_moments", shifted)
 
 
-@pytest.mark.parametrize("breaker", [_break_univariate_a1, _break_ring_integral])
+def _break_ahat_class(monkeypatch):
+    # add the top class to A-hat(B_c); only a cold certificate build sees it
+    ahat_Bc = invariants.ahat_Bc
+
+    def broken(spec):
+        top = CohClass(spec, (), (0,) * (2 * spec.k - 1) + (1,))
+        return ahat_Bc(spec) + top
+
+    monkeypatch.setattr(invariants, "ahat_Bc", broken)
+
+
+def _break_series_eval(monkeypatch):
+    # scale every series evaluation inside ahat_Bc; again cold only
+    coh_eval_series = invariants.coh_eval_series
+    monkeypatch.setattr(invariants, "coh_eval_series", lambda f, x: coh_eval_series(f, x).scale(2))
+
+
+@pytest.mark.parametrize("breaker", [
+    _break_univariate_a1, _break_ring_integral, _break_ahat_class, _break_series_eval,
+])
 @pytest.mark.parametrize("argv", [
     ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "3"],
     ["family", "-k", "3", "-c", "-1", "-s", "4", "--t-min", "1", "--t-max", "9"],
 ])
 def test_internal_consistency_failure_exit_2(capsys, monkeypatch, cold_caches, breaker, argv):
-    # the per-k caches sit below both breakers: each must fail a request
-    # with k's caches cold, and again once a clean request has warmed them
-    for warm in (False, True):
+    # the per-k caches sit below the first two breakers: each must fail a
+    # request with k's caches cold, and again once a clean request has warmed
+    # them.  The ring certificate is built once per k, so a breaker of the
+    # ring products it is built from can only fail a request with k cold.
+    cold_only = breaker in (_break_ahat_class, _break_series_eval)
+    for warm in (False,) if cold_only else (False, True):
         if warm:
             assert run_cli(capsys, *argv)[0] == 0
         with monkeypatch.context() as patch:

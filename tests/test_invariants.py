@@ -162,25 +162,67 @@ def test_reports_and_a1_poly_share_one_series_cache_entry(cold_caches):
 
 
 def test_warm_request_raises_no_series_power(cold_caches, monkeypatch):
-    # F^{2k-1} and A1(s) are built once per k; a request at a warm k with new
-    # (c, s, t) still takes its own two ring integrals
+    # F^{2k-1}, A1(s) and the ring certificate are built once per k; a request
+    # at a warm k with new (c, s, t) builds no ring class and no series power
     relative_eta(FamilyParams(8, 1, 2, 3))
-    power, integral = PowerSeries.__pow__, invariants.coh_integrate_product
-    calls = {"pow": 0, "integral": 0}
+    calls = {"pow": 0, "ahat_Bc": 0, "coh_eval_series": 0, "coh_integrate_product": 0}
 
-    def counted_pow(f, n):
-        calls["pow"] += 1
-        return power(f, n)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counted_integral(a, b):
-        calls["integral"] += 1
-        return integral(a, b)
+        return wrapper
 
-    monkeypatch.setattr(PowerSeries, "__pow__", counted_pow)
-    monkeypatch.setattr(invariants, "coh_integrate_product", counted_integral)
+    monkeypatch.setattr(PowerSeries, "__pow__", counted("pow", PowerSeries.__pow__))
+    for name in ("ahat_Bc", "coh_eval_series", "coh_integrate_product"):
+        monkeypatch.setattr(invariants, name, counted(name, getattr(invariants, name)))
     report = relative_eta(FamilyParams(8, -5, 6, 7))
-    assert calls == {"pow": 0, "integral": 2}
+    assert calls == {"pow": 0, "ahat_Bc": 0, "coh_eval_series": 0, "coh_integrate_product": 0}
     assert report.a_value == local_datum(FamilyParams(8, -5, 6, 7))
+
+
+def test_ring_certificate_builds_for_every_k(cold_caches):
+    for k in range(2, invariants.MAX_K + 1):
+        d, Y, Z = invariants._ring_moments(k)
+        assert (len(Y), len(Z)) == (2 * k + 1, 2 * k), k
+        # Y = -s A1(s)/(2k) is even and Z = -A1(s) is odd
+        assert not any(Y[1::2]) and not any(Z[0::2]), k
+    assert invariants._ring_moments.cache_info().misses == invariants.MAX_K - 1
+
+
+def _shift_moments(which, shift):
+    """A _moments_at that adds shift(c) * d to coefficient 1 of M or N at each c."""
+    moments_at = invariants._moments_at
+
+    def shifted(k, c):
+        d, M, N = moments_at(k, c)
+        poly = M if which == "M" else N
+        poly[1] += shift(c) * d
+        return d, M, N
+
+    return shifted
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("which, shift, message", [
+    # shifted alike at every c: X(s) moves by s, the fit in c still holds
+    ("M", lambda c: 1, r"identity fails at k=\d+: X\(s\) != 0$"),
+    # shifted by c: Y(s) moves by s
+    ("M", lambda c: c, r"identity fails at k=\d+: Y\(s\) != -s\*A1\(s\)/\(2k\)$"),
+    ("N", lambda c: 1, r"identity fails at k=\d+: Z\(s\) != -A1\(s\)$"),
+    # only at one c: that build leaves the fit
+    ("M", lambda c: c == -5, r"at c=-5 is not X\(s\) \+ c\*Y\(s\) \+ t\*Z\(s\)"),
+    ("N", lambda c: c == 3, r"at c=3 is not X\(s\) \+ c\*Y\(s\) \+ t\*Z\(s\)"),
+])
+def test_corrupted_ring_certificate_is_refused(cold_caches, monkeypatch, k, which, shift, message):
+    monkeypatch.setattr(invariants, "_moments_at", _shift_moments(which, shift))
+    with pytest.raises(AffinityViolation, match=r"^ring integral " + message):
+        invariants._ring_moments(k)
+    with pytest.raises(AffinityViolation, match=r"^ring integral " + message):
+        relative_eta(FamilyParams(k, 1, 2, 3))
+    monkeypatch.undo()
+    assert relative_eta(FamilyParams(k, 1, 2, 3)).a_value == local_datum(FamilyParams(k, 1, 2, 3))
 
 
 @pytest.mark.parametrize("k", [2, 16, 64])
@@ -351,7 +393,8 @@ def test_family_scan_rejects_invalid_k_c_s_before_any_row(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ring work started for invalid (k, c, s)")
 
-    monkeypatch.setattr(invariants, "ahat_Bc", refuse)
+    for name in ("ahat_Bc", "_ring_moments"):
+        monkeypatch.setattr(invariants, name, refuse)
     for k, c, s, message in (
         (1, 1, 2, "k must be >= 2"),
         (2, 2, 2, "c must be odd"),
@@ -402,9 +445,10 @@ def test_family_scan_matches_single_reports():
 
 def test_family_scan_all_invalid_builds_no_ring_class(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("ahat_Bc called for a scan with no valid t")
+        raise AssertionError("ring certificate read for a scan with no valid t")
 
-    monkeypatch.setattr(invariants, "ahat_Bc", refuse)
+    for name in ("ahat_Bc", "_ring_moments"):
+        monkeypatch.setattr(invariants, name, refuse)
     result = family_scan(2, 1, 6, [2, 3, 4, 9, 15])
     assert result.distinct_count == 0
     assert all(e.report is None and e.error for e in result.entries)
@@ -436,21 +480,21 @@ def test_univariate_split_matches_ring_probes(params):
 
 
 def test_every_valid_row_checks_its_ring_integral(monkeypatch):
-    # the certificate is two rational ring integrals per family, I(0) and I(1),
-    # both against one evaluation of G; a wrong I(0) alone, a wrong I(1) alone,
-    # or both shifted alike (a wrong t^0 coefficient with the right slope) must
-    # fail every route that publishes a row
-    integral = invariants.coh_integrate_product
+    # the certificate is one per-k entry, read once per family for I(0) and
+    # I(1); a wrong I(0) alone (a wrong t^0 coefficient with the right
+    # slope), a wrong slope alone, or both, must fail every route that
+    # publishes a row
+    moments = invariants._ring_moments
     calls = []
 
-    def counted(a, b):
-        calls.append(None)
-        return integral(a, b)
+    def counted(k):
+        calls.append(k)
+        return moments(k)
 
-    monkeypatch.setattr(invariants, "coh_integrate_product", counted)
+    monkeypatch.setattr(invariants, "_ring_moments", counted)
     t_values = [1, 3, 5, 7, 9, 11]  # s = 6 makes t = 3 and 9 invalid
     assert family_scan(2, 1, 6, t_values).distinct_count == 4
-    assert len(calls) == 2
+    assert calls == [2]
     rat = r"-?\d+(/\d+)?"
     message = (
         rf"^ring integral {rat} \+ \({rat}\)\*t disagrees with A0 - A1\*t = {rat} - \({rat}\)\*t "
@@ -458,15 +502,23 @@ def test_every_valid_row_checks_its_ring_integral(monkeypatch):
     )
 
     def shifted(wrong):
-        # G(su), the class behind I(0), has no v-part below the top class
-        def perturbed(a, b):
-            t = 1 if any(b.q[:-1]) else 0
-            return integral(a, b) + (1 if t in wrong else 0)
+        # adding d to the constant term of Y moves I(0) = c Y(s) by c = 1 and
+        # leaves the slope; adding d to that of Z moves the slope Z(s) by 1
+        def perturbed(k):
+            d, Y, Z = moments(k)
+            if "I(0)" in wrong:
+                Y = (Y[0] + d,) + Y[1:]
+            if "slope" in wrong:
+                Z = (Z[0] + d,) + Z[1:]
+            return d, Y, Z
 
         return perturbed
 
-    for wrong in ({0}, {1}, {0, 1}):
-        monkeypatch.setattr(invariants, "coh_integrate_product", shifted(wrong))
+    for wrong in ({"I(0)"}, {"slope"}, {"I(0)", "slope"}):
+        monkeypatch.setattr(invariants, "_ring_moments", shifted(wrong))
+        i0, i1 = invariants._ring_integrals(RingSpec(2, 1), 6)
+        A0, A1 = invariants._affine_split(2, 1, 6)
+        assert (i0 != A0, i1 - i0 != -A1) == ("I(0)" in wrong, "slope" in wrong)
         with pytest.raises(AffinityViolation, match=message):
             family_scan(2, 1, 6, t_values)
         for t in (1, 5, 7, 11):
@@ -479,9 +531,10 @@ def test_every_valid_row_checks_its_ring_integral(monkeypatch):
 def test_certificate_integrals_are_the_ring_datum_at_t_0_and_1(k, s):
     # against G(su + tv) summed as G_m (su + tv)^m by ring products, with no
     # coh_eval_series; at k = 64, where that loop is slow, against the
-    # univariate split
+    # univariate split.  The certificate is built at c = 1, 3 and -5; the
+    # other c test its extrapolation in c.
     g = invariants._inv_two_cosh(2 * k).coeffs
-    for c in (1, -7):
+    for c in (1, -7, 2**63 - 1, -(2**63 - 1)):
         spec = RingSpec(k, c)
         integrals = invariants._ring_integrals(spec, s)
         if k == 64:
@@ -525,7 +578,8 @@ def test_k_limit():
 
 
 def test_family_scan_t_count_limit(monkeypatch):
-    monkeypatch.setattr(invariants, "ahat_Bc", _refuse)
+    for name in ("ahat_Bc", "_ring_moments"):
+        monkeypatch.setattr(invariants, name, _refuse)
     # 1000 even t values: accepted, every row invalid, so no ring work
     result = family_scan(2, 1, 2, range(0, 2000, 2))
     assert len(result.entries) == 1000 and result.distinct_count == 0
