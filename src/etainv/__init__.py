@@ -6,7 +6,7 @@ All arithmetic is exact rational, on the stdlib ``fractions.Fraction``; see
 """
 
 from .coeffcore import RATIONAL_BACKEND, Rational, UniPoly
-from .cohring import CohClass, RingSpec, coh_eval_series, coh_integrate, coh_integrate_product
+from .cohring import CohClass, RingSpec, coh_eval_series, coh_integrate
 from .invariants import (
     EtaReport,
     FamilyParams,
@@ -33,7 +33,6 @@ __all__ = [
     "RingSpec",
     "coh_eval_series",
     "coh_integrate",
-    "coh_integrate_product",
     "EtaReport",
     "FamilyParams",
     "a1_direct",

@@ -11,9 +11,10 @@ gives byte-identical output.
 
 Exit codes: 0 success, 1 invalid parameters, input past a work limit
 (k <= 64, |c|, |s| and |t| < 2^63, at most 1000 family t values or find-s
-candidates), usage, an unwritable --output path or an --approx value outside
-float range, 2 internal consistency failure.  Every series is truncated at
-u^{2k}, past which the ring is zero, so no truncation option is offered.
+candidates), usage, an unwritable --output path, a stdout closed before the
+output was written, or an --approx value outside float range, 2 internal
+consistency failure.  Every series is truncated at u^{2k}, past which the
+ring is zero, so no truncation option is offered.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import functools
 import io
 import itertools
 import json
+import os
 import sys
 
 from .cohring import MAX_K
@@ -224,7 +226,15 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # a buffered stdout meets a closed pipe only here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader of stdout exited early; the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 1
     except (ValueError, OutputError) as exc:  # InvalidParams is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,11 +15,9 @@ is the package's one binary exponentiation.
 
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f at a degree-2 class a*u + b*v in closed form, as
-f(a*u) + b*v*f'(a*u), and :func:`coh_integrate_product` reads the integral
-of a product from its two factors in O(k) without forming it.  Both run on
-integer numerators, the series' and the classes', so the sums run in
-integers and the result is one canonical class or one rational.  No k above
-MAX_K (64) is accepted.
+f(a*u) + b*v*f'(a*u).  It runs on integer numerators, the series' and the
+class's, so the sums run in integers and the result is one canonical class.
+No k above MAX_K (64) is accepted.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "InsufficientOrder",
     "coh_eval_series",
     "coh_integrate",
-    "coh_integrate_product",
 ]
 
 
@@ -313,19 +310,3 @@ def coh_integrate(a: CohClass):
     """Integration over the 4k-manifold: the coefficient of u^{2k-1}*v."""
     return Rational(a.Q[-1], a.den)
 
-
-def coh_integrate_product(a: CohClass, b: CohClass):
-    """coh_integrate(a * b) in O(k), without forming the product.
-
-    The u^{2k-1}*v coefficient of (p1 + v q1)(p2 + v q2) is
-    [u^{2k-1}](p1 q2 + q1 p2) + c * [u^{2k}](p1 p2): three integer dot
-    products of the numerators, over den_a*den_b, and one Rational.
-    """
-    a._check(b)
-    P1, Q1, P2, Q2 = a.P, a.Q, b.P, b.Q
-    return Rational(
-        sum(map(mul, P1, Q2[::-1]))
-        + sum(map(mul, Q1, P2[::-1]))
-        + a.spec.c * sum(map(mul, P1[1:], P2[:0:-1])),
-        a.den * b.den,
-    )

@@ -25,11 +25,11 @@ G(su + tv) = G(su) + t v G'(su) with v^2 = 0, give the ring integral of
 A-hat(B_c) times G(su + tv) exactly as
 I(s, t) = sum_j G_j mu_j s^j + t sum_j (j+1) G_{j+1} nu_j s^j.
 c enters affinely, so I = X(s) + c Y(s) + t Z(s) with three polynomials that
-depend on k alone (:func:`_ring_moments`).  They are built once per k from
-ahat_Bc at c = 1, 3 and -5 and checked coefficient by coefficient:
-X = 0, Y = -s A1(s)/(2k) and Z = -A1(s), or AffinityViolation is raised.
-Each request still compares: I(0) = c Y(s) must equal A0 and
-I(1) - I(0) = Z(s) must equal -A1, both by integer Horner with no ring work.
+depend on k alone.  They are built once per k from ahat_Bc at c = 1, 3 and
+-5 and checked coefficient by coefficient: X = 0, Y = -s A1(s)/(2k) and
+Z = -A1(s), or AffinityViolation is raised.  The certificate is the pair of
+UniPoly objects Y and Z (:func:`_ring_moments`).  Each request still
+compares: c Y(s) must equal A0 and Z(s) must equal -A1, with no ring work.
 relative_eta and family_scan share this check; each row is then
 a = A0 - A1*t.  decompose_affine_in_t (ring probes t = 1, 3, 5) and
 local_datum (the full four-factor product) stay as the oracles that verify
@@ -70,7 +70,6 @@ from .cohring import (
     RingSpec,
     coh_eval_series,
     coh_integrate,
-    coh_integrate_product,
 )
 from .series import PowerSeries, ps_exp
 
@@ -327,8 +326,9 @@ def decompose_affine_in_t(k: int, c: int, s: int):
 
     The ring-route oracle for the univariate split that reports use.
     """
-    ahat = ahat_Bc(RingSpec(k, c))
-    a1, a3, a5 = (_datum_at(ahat, s, t) for t in (1, 3, 5))
+    spec = RingSpec(k, c)
+    ahat = ahat_Bc(spec)
+    a1, a3, a5 = (coh_integrate(ahat * _sech_factor(spec, s, t)) for t in (1, 3, 5))
     A1 = (a1 - a3) / 2
     A0 = a1 + A1
     if a5 != A0 - A1 * 5:
@@ -336,22 +336,6 @@ def decompose_affine_in_t(k: int, c: int, s: int):
             f"probes t=1,3,5 not collinear for (k={k}, c={c}, s={s}): {a1}, {a3}, {a5}"
         )
     return A0, A1
-
-
-def _datum_at(ahat: CohClass, s: int, t: int):
-    # ahat = ahat_Bc(spec), built once by the caller and shared across t
-    return coh_integrate_product(ahat, _sech_factor(ahat.spec, s, t))
-
-
-def _affine_split(k: int, c: int, s: int):
-    """(A0, A1) from the univariate identity, with no ring work.
-
-    F is even, so F(2v) = 1 and A-hat(B_c) = F^{2k} - (c/2k) v (F^{2k})';
-    integrating against G(su + tv) = G(su) + t v G'(su), with G' = -T,
-    gives A1 = a1_poly_in_s(k)(s) and A0 = -c*s*A1/(2k).
-    """
-    A1 = a1_poly_in_s(k)(s)
-    return -c * s * A1 / (2 * k), A1
 
 
 # the c at which _ring_moments builds A-hat(B_c): 1 and 3 fix the fit in c, -5 checks it
@@ -378,7 +362,7 @@ def _moments_at(k: int, c: int):
 
 @lru_cache(maxsize=None)
 def _ring_moments(k: int):
-    """(d, Y, Z): integer polynomials with I(s, t) = (c Y(s) + t Z(s)) / d for every c.
+    """(Y, Z): the polynomials with I(s, t) = c Y(s) + t Z(s) for every c.
 
     The ring certificate of the split, proved once per k.  c enters
     A-hat(B_c) = p + v q affinely: as series, F(2v) and F(u)^{2k-1} are free
@@ -399,59 +383,43 @@ def _ring_moments(k: int):
     # over 2D: M1 = X + Y and M3 = X + 3Y
     X = [3 * x * f1 - y * f3 for x, y in zip(M1, M3)]
     Y = [y * f3 - x * f1 for x, y in zip(M1, M3)]
-    Z = [2 * f1 * x for x in N1]
+    Z = UniPoly("s", N1, d1)
     for c, (d, M, N) in zip(_BUILD_C, builds):
         fit = UniPoly("s", [x + c * y for x, y in zip(X, Y)], 2 * D)
-        if UniPoly("s", M, d) != fit or UniPoly("s", N, d) != UniPoly("s", Z, 2 * D):
+        if UniPoly("s", M, d) != fit or UniPoly("s", N, d) != Z:
             raise AffinityViolation(
                 f"ring integral at c={c} is not X(s) + c*Y(s) + t*Z(s) as fitted at c=1, 3 (k={k})"
             )
+    Y = UniPoly("s", Y, 2 * D)
     a1 = _a1_poly(k)
     for name, ok in (
         ("X(s) != 0", not any(X)),
-        ("Y(s) != -s*A1(s)/(2k)",
-         UniPoly("s", Y, 2 * D) == UniPoly("s", [0] + [-x for x in a1.nums], 2 * k * a1.den)),
-        ("Z(s) != -A1(s)", UniPoly("s", Z, 2 * D) == UniPoly("s", [-x for x in a1.nums], a1.den)),
+        ("Y(s) != -s*A1(s)/(2k)", Y == UniPoly("s", [0] + [-x for x in a1.nums], 2 * k * a1.den)),
+        ("Z(s) != -A1(s)", Z == UniPoly("s", [-x for x in a1.nums], a1.den)),
     ):
         if not ok:
             raise AffinityViolation(f"ring integral identity fails at k={k}: {name}")
-    g = math.gcd(2 * D, *Y, *Z)
-    return 2 * D // g, tuple(x // g for x in Y), tuple(x // g for x in Z)
+    return Y, Z
 
 
-def _horner(nums, x: int) -> int:
-    acc = 0
-    for a in reversed(nums):
-        acc = acc * x + a
-    return acc
-
-
-def _ring_integrals(spec: RingSpec, s: int):
-    """(I(0), I(1)): the ring integrals of A-hat(B_c) times G(su + tv) at t = 0 and 1.
-
-    (c Y(s), c Y(s) + Z(s)) over d from the per-k certificate
-    (:func:`_ring_moments`), by integer Horner: no ring work.
-    """
-    d, Y, Z = _ring_moments(spec.k)
-    i0 = spec.c * _horner(Y, s)
-    return Rational(i0, d), Rational(i0 + _horner(Z, s), d)
-
-
-def _certified_split(spec: RingSpec, s: int):
+def _certified_split(k: int, c: int, s: int):
     """(A0, A1) from the univariate identity, checked against the ring certificate.
 
-    The ring integral I(t) of A-hat(B_c) times G(su + tv) is affine in t,
-    and its two values I(0) and I(1) come from the polynomials that
-    :func:`_ring_moments` proved once per k.  They must give I(0) = A0 and
-    I(1) - I(0) = -A1 at this (c, s); the check runs on every request.
+    F is even, so F(2v) = 1 and A-hat(B_c) = F^{2k} - (c/2k) v (F^{2k})';
+    integrating against G(su + tv) = G(su) + t v G'(su), with G' = -T,
+    gives A1 = a1_poly_in_s(k)(s) and A0 = -c*s*A1/(2k).  The ring integral
+    I(t) = c Y(s) + t Z(s), from the polynomials that :func:`_ring_moments`
+    proved once per k, must have c Y(s) = A0 and Z(s) = -A1 at this (c, s);
+    the check runs on every request.
     """
-    A0, A1 = _affine_split(spec.k, spec.c, s)
-    i0, i1 = _ring_integrals(spec, s)
-    slope = i1 - i0
+    A1 = a1_poly_in_s(k)(s)
+    A0 = -c * s * A1 / (2 * k)
+    Y, Z = _ring_moments(k)
+    i0, slope = c * Y(s), Z(s)
     if i0 != A0 or slope != -A1:
         raise AffinityViolation(
             f"ring integral {i0} + ({slope})*t disagrees with A0 - A1*t = {A0} - ({A1})*t "
-            f"at (k={spec.k}, c={spec.c}, s={s})"
+            f"at (k={k}, c={c}, s={s})"
         )
     return A0, A1
 
@@ -472,11 +440,10 @@ def _report(params: FamilyParams, A0, A1) -> EtaReport:
 def relative_eta(params: FamilyParams) -> EtaReport:
     """Full report: eta_rel = -2 * local datum, plus the affine decomposition.
 
-    (A0, A1) come from the univariate identity, checked against the ring
-    integrals at t = 0 and 1 that the per-k certificate gives, as for a
-    family of one t.
+    (A0, A1) come from the univariate identity, checked against the per-k
+    ring certificate, as for a family of one t.
     """
-    return _report(params, *_certified_split(params.spec, params.s))
+    return _report(params, *_certified_split(params.k, params.c, params.s))
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +506,17 @@ def a1_residue(k: int, s: int):
         raise InvalidParams(f"s must be a nonzero even integer, got s={s}")
     _check_k(k)
     order = 2 * k + 2
-    half = Rational(1) / 2
-    w_of_u = ps_exp(half, order, "u") - ps_exp(-half, order, "u")
-    u_of_w = w_of_u.revert()
-    sh = s * Rational(1, 2)
+    half = Rational(1, 2)
+    e_half, e_minus_half = ps_exp(half, order, "u"), ps_exp(-half, order, "u")
+    u_of_w = (e_half - e_minus_half).revert()
+    sh = s * half
     e_plus = ps_exp(sh, order, "u")
     e_minus = ps_exp(-sh, order, "u")
     big_s = e_plus - e_minus
     big_c = e_plus + e_minus
-    cosh_u2 = (ps_exp(half, order, "u") + ps_exp(-half, order, "u")).scale(Rational(1, 2))
+    cosh_u2 = (e_half + e_minus_half).scale(half)
     integrand_u = big_s.divide((big_c * big_c).scale(2)).divide(cosh_u2)
-    g = integrand_u.compose(u_of_w)
-    return PowerSeries("w", g.coeffs, g.order).coeff(2 * k - 1)
+    return integrand_u.compose(u_of_w).coeff(2 * k - 1)
 
 
 def s2_closed_form(k: int):
@@ -651,9 +617,8 @@ def family_scan(k: int, c: int, s: int, t_values) -> ScanResult:
     MAX_T_VALUES t values, or any t past PARAM_BOUND, raise before any row.  Invalid t values are
     reported per entry and the scan continues; results are assembled in the
     order of the sequence t_values.  (A0, A1) depend only on (k, c, s): at
-    the first valid t they are checked once, for every t, against the ring
-    integrals at t = 0 and 1 from the per-k certificate, and each valid row
-    is then a = A0 - A1*t.
+    the first valid t they are checked once, for every t, against the per-k
+    ring certificate, and each valid row is then a = A0 - A1*t.
     """
     FamilyParams(k, c, s, 1)  # t = 1 is always valid, so this checks k, c and s alone
     count = _t_count(t_values)
@@ -673,7 +638,7 @@ def family_scan(k: int, c: int, s: int, t_values) -> ScanResult:
             entries.append(ScanEntry(t=t, error=str(exc)))
             continue
         if split is None:
-            split = _certified_split(params.spec, s)
+            split = _certified_split(k, c, s)
         report = _report(params, *split)
         seen.add(report.eta_rel)
         entries.append(ScanEntry(t=t, report=report))

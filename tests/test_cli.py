@@ -452,8 +452,8 @@ def _break_ring_integral(monkeypatch):
     moments = invariants._ring_moments
 
     def shifted(k):
-        d, Y, Z = moments(k)
-        return d, Y, (Z[0] + d,) + Z[1:]
+        Y, Z = moments(k)
+        return Y, UniPoly("s", (Z.nums[0] + Z.den,) + Z.nums[1:], Z.den)
 
     monkeypatch.setattr(invariants, "_ring_moments", shifted)
 
@@ -541,6 +541,38 @@ def test_rational_env_var_is_ignored(entry, value):
     assert (plain.returncode, plain.stderr) == (0, "")
     assert '"eta_rel": "-7/4"' in plain.stdout
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, plain.stdout, "")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    # about 270 KB of JSON, past any pipe or stdout buffer
+    ["family", "-k", "64", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "1999"],
+    ["compute", "-k", "2", "-c", "1", "-s", "2", "-t", "3"],
+    ["a1-poly", "-k", "3"],
+    ["find-s", "-k", "2", "--s-candidates", "2,4"],
+    ["cohomology", "-k", "2", "-s", "2"],
+])
+def test_closed_stdout_exits_1_with_one_error_line(argv, unbuffered):
+    # the reader of stdout is gone before the child writes, as in `etainv verify | true`;
+    # a buffered stdout first meets the closed pipe when it is flushed
+    src = str(Path(etainv.__file__).resolve().parents[1])
+    env = {key: v for key, v in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", CONSOLE_SCRIPT, *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
 
 
 def test_missing_subcommand_usage_error(capsys):

@@ -16,7 +16,6 @@ from etainv.cohring import (
     SpecMismatch,
     coh_eval_series,
     coh_integrate,
-    coh_integrate_product,
 )
 from etainv.coeffcore import Rational
 from etainv.series import PowerSeries, ps_exp
@@ -111,8 +110,6 @@ def test_spec_mismatch():
         a + b
     with pytest.raises(SpecMismatch):
         a * b
-    with pytest.raises(SpecMismatch):
-        coh_integrate_product(a, b)
 
 
 def test_scalar_multiplication():
@@ -281,14 +278,6 @@ def test_product_with_large_coprime_denominators(pair):
     product = a * b
     assert product == CohClass.reduce(a.spec, p, q)
     assert all(isinstance(x, Rational) for x in product.p + product.q)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(_class_pairs(), _class_pairs(st.one_of(st.just(0), _big_fractions))))
-def test_integrate_product_is_integral_of_product(pair):
-    a, b = pair
-    assert coh_integrate_product(a, b) == coh_integrate(a * b)
-    assert coh_integrate_product(b, a) == coh_integrate(a * b)
 
 
 def _eval_series_by_products(f, x):

@@ -163,9 +163,9 @@ def test_reports_and_a1_poly_share_one_series_cache_entry(cold_caches):
 
 def test_warm_request_raises_no_series_power(cold_caches, monkeypatch):
     # F^{2k-1}, A1(s) and the ring certificate are built once per k; a request
-    # at a warm k with new (c, s, t) builds no ring class and no series power
+    # at a warm k with new (c, s, t) builds no ring object and no series power
     relative_eta(FamilyParams(8, 1, 2, 3))
-    calls = {"pow": 0, "ahat_Bc": 0, "coh_eval_series": 0, "coh_integrate_product": 0}
+    calls = {"pow": 0, "ahat_Bc": 0, "coh_eval_series": 0, "mul": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -174,20 +174,27 @@ def test_warm_request_raises_no_series_power(cold_caches, monkeypatch):
 
         return wrapper
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm request built a RingSpec")
+
     monkeypatch.setattr(PowerSeries, "__pow__", counted("pow", PowerSeries.__pow__))
-    for name in ("ahat_Bc", "coh_eval_series", "coh_integrate_product"):
+    monkeypatch.setattr(CohClass, "__mul__", counted("mul", CohClass.__mul__))
+    monkeypatch.setattr(invariants, "RingSpec", refuse)
+    for name in ("ahat_Bc", "coh_eval_series"):
         monkeypatch.setattr(invariants, name, counted(name, getattr(invariants, name)))
     report = relative_eta(FamilyParams(8, -5, 6, 7))
-    assert calls == {"pow": 0, "ahat_Bc": 0, "coh_eval_series": 0, "coh_integrate_product": 0}
+    assert calls == {"pow": 0, "ahat_Bc": 0, "coh_eval_series": 0, "mul": 0}
+    monkeypatch.undo()
     assert report.a_value == local_datum(FamilyParams(8, -5, 6, 7))
 
 
 def test_ring_certificate_builds_for_every_k(cold_caches):
     for k in range(2, invariants.MAX_K + 1):
-        d, Y, Z = invariants._ring_moments(k)
-        assert (len(Y), len(Z)) == (2 * k + 1, 2 * k), k
+        Y, Z = invariants._ring_moments(k)
+        assert isinstance(Y, UniPoly) and isinstance(Z, UniPoly), k
+        assert (Y.degree(), Z.degree()) == (2 * k, 2 * k - 1), k
         # Y = -s A1(s)/(2k) is even and Z = -A1(s) is odd
-        assert not any(Y[1::2]) and not any(Z[0::2]), k
+        assert not any(Y.nums[1::2]) and not any(Z.nums[0::2]), k
     assert invariants._ring_moments.cache_info().misses == invariants.MAX_K - 1
 
 
@@ -480,18 +487,27 @@ def test_univariate_split_matches_ring_probes(params):
 
 
 def test_every_valid_row_checks_its_ring_integral(monkeypatch):
-    # the certificate is one per-k entry, read once per family for I(0) and
-    # I(1); a wrong I(0) alone (a wrong t^0 coefficient with the right
-    # slope), a wrong slope alone, or both, must fail every route that
-    # publishes a row
+    # the certificate is one per-k entry, read once per family; a wrong Y
+    # alone (a wrong t^0 coefficient with the right slope), a wrong slope Z
+    # alone, or both, must fail every route that publishes a row
     moments = invariants._ring_moments
     calls = []
 
-    def counted(k):
-        calls.append(k)
-        return moments(k)
+    def shifted(wrong):
+        # adding 1 to the constant term of Y moves c Y(s) by c = 1 and leaves
+        # the slope; adding 1 to that of Z moves the slope Z(s) by 1
+        def perturbed(k):
+            calls.append(k)
+            Y, Z = moments(k)
+            if "Y" in wrong:
+                Y = UniPoly("s", (Y.nums[0] + Y.den,) + Y.nums[1:], Y.den)
+            if "Z" in wrong:
+                Z = UniPoly("s", (Z.nums[0] + Z.den,) + Z.nums[1:], Z.den)
+            return Y, Z
 
-    monkeypatch.setattr(invariants, "_ring_moments", counted)
+        return perturbed
+
+    monkeypatch.setattr(invariants, "_ring_moments", shifted(set()))
     t_values = [1, 3, 5, 7, 9, 11]  # s = 6 makes t = 3 and 9 invalid
     assert family_scan(2, 1, 6, t_values).distinct_count == 4
     assert calls == [2]
@@ -500,27 +516,17 @@ def test_every_valid_row_checks_its_ring_integral(monkeypatch):
         rf"^ring integral {rat} \+ \({rat}\)\*t disagrees with A0 - A1\*t = {rat} - \({rat}\)\*t "
         r"at \(k=2, c=1, s=6\)$"
     )
-
-    def shifted(wrong):
-        # adding d to the constant term of Y moves I(0) = c Y(s) by c = 1 and
-        # leaves the slope; adding d to that of Z moves the slope Z(s) by 1
-        def perturbed(k):
-            d, Y, Z = moments(k)
-            if "I(0)" in wrong:
-                Y = (Y[0] + d,) + Y[1:]
-            if "slope" in wrong:
-                Z = (Z[0] + d,) + Z[1:]
-            return d, Y, Z
-
-        return perturbed
-
-    for wrong in ({"I(0)"}, {"slope"}, {"I(0)", "slope"}):
-        monkeypatch.setattr(invariants, "_ring_moments", shifted(wrong))
-        i0, i1 = invariants._ring_integrals(RingSpec(2, 1), 6)
-        A0, A1 = invariants._affine_split(2, 1, 6)
-        assert (i0 != A0, i1 - i0 != -A1) == ("I(0)" in wrong, "slope" in wrong)
+    A1 = a1_poly_in_s(2)(6)
+    A0 = -6 * A1 / 4
+    for wrong in ({"Y"}, {"Z"}, {"Y", "Z"}):
+        perturbed = shifted(wrong)
+        Y, Z = perturbed(2)
+        assert (Y(6) != A0, Z(6) != -A1) == ("Y" in wrong, "Z" in wrong)
+        monkeypatch.setattr(invariants, "_ring_moments", perturbed)
+        calls.clear()
         with pytest.raises(AffinityViolation, match=message):
             family_scan(2, 1, 6, t_values)
+        assert calls == [2]
         for t in (1, 5, 7, 11):
             with pytest.raises(AffinityViolation, match=message):
                 relative_eta(FamilyParams(2, 1, 6, t))
@@ -529,19 +535,19 @@ def test_every_valid_row_checks_its_ring_integral(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 16, 64])
 @pytest.mark.parametrize("s", [2, -6, 2**63 - 2])
 def test_certificate_integrals_are_the_ring_datum_at_t_0_and_1(k, s):
-    # against G(su + tv) summed as G_m (su + tv)^m by ring products, with no
-    # coh_eval_series; at k = 64, where that loop is slow, against the
-    # univariate split.  The certificate is built at c = 1, 3 and -5; the
-    # other c test its extrapolation in c.
+    # c Y(s) and c Y(s) + Z(s) against G(su + tv) summed as G_m (su + tv)^m by
+    # ring products, with no coh_eval_series; at k = 64, where that loop is
+    # slow, against the univariate split.  The certificate is built at
+    # c = 1, 3 and -5; the other c test its extrapolation in c.
     g = invariants._inv_two_cosh(2 * k).coeffs
+    Y, Z = invariants._ring_moments(k)
     for c in (1, -7, 2**63 - 1, -(2**63 - 1)):
-        spec = RingSpec(k, c)
-        integrals = invariants._ring_integrals(spec, s)
+        integrals = (c * Y(s), c * Y(s) + Z(s))
         if k == 64:
-            A0, A1 = invariants._affine_split(k, c, s)
-            i0, i1 = integrals
-            assert i0 == A0 and i1 - i0 == -A1
+            A1 = a1_poly_in_s(k)(s)
+            assert integrals == (-c * s * A1 / (2 * k), -c * s * A1 / (2 * k) - A1)
             continue
+        spec = RingSpec(k, c)
         ahat = invariants.ahat_Bc(spec)
         expected = []
         for t in (0, 1):
