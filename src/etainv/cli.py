@@ -60,6 +60,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def print_help(self, file=None):
+        # argparse drops an OSError from this write; main maps a closed stdout to exit 1
+        (file or sys.stdout).write(self.format_help())
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -67,12 +71,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     parse_args keeps no state between calls: each starts a fresh namespace
     from the declared defaults, so main reuses this parser for every request.
+    Its `commands` maps each command name to that command's subparser.
     """
     parser = _Parser(
         prog="etainv",
         description="Exact relative eta-invariants for circle-bundle quotient families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
+
+    def add_command(name, help):
+        parser.commands[name] = sub.add_parser(name, help=help)
+        return parser.commands[name]
 
     def add_output(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -91,34 +101,64 @@ def build_parser() -> argparse.ArgumentParser:
                  "(CSV and family's text ignore it); a value outside float range exits 1",
         )
 
-    p = sub.add_parser("compute", help="one eta report for (k, c, s, t)")
+    p = add_command("compute", help="one eta report for (k, c, s, t)")
     add_common(p, need_t=True)
 
-    p = sub.add_parser("family", help="sweep t over a range, report distinct count")
+    p = add_command("family", help="sweep t over a range, report distinct count")
     add_common(p)
     p.add_argument("--t-min", type=int, required=True)
     p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--t-step", type=int, default=2,
                    help="step from --t-min up to --t-max, >= 1; t runs upward only")
 
-    p = sub.add_parser("a1-poly", help="the degree-one coefficient as a polynomial in s")
+    p = add_command("a1-poly", help="the degree-one coefficient as a polynomial in s")
     p.add_argument("-k", type=int, required=True)
     add_output(p)
 
-    p = sub.add_parser("find-s", help="filter candidate s values with A1(s) != 0")
+    p = add_command("find-s", help="filter candidate s values with A1(s) != 0")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--s-candidates", required=True, help="at most 1000 comma-separated even nonzero integers, each |s| < 2^63")
     add_output(p)
 
-    p = sub.add_parser("cohomology", help="integer cohomology table of the bundle total space")
+    p = add_command("cohomology", help="integer cohomology table of the bundle total space")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-s", type=int, required=True, help="even nonzero, |s| < 2^63")
     add_output(p)
 
-    p = sub.add_parser("verify", help="run the built-in verification suite")
+    p = add_command("verify", help="run the built-in verification suite")
     p.add_argument("--suite", choices=("paper",), default="paper")
 
     return parser
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(o, pad: str) -> str:
+    """json.dumps(o, indent=2) byte for byte, for o nested at indent pad.
+
+    CPython's C encoder runs only without indent, so the stdlib writes an
+    indented document in pure Python; this writes the same bytes with less
+    work.  Containers are dict with str keys, list and tuple, matched by exact
+    type; str and int are written here, and every other value (bool, None,
+    float) by json.dumps itself.
+    """
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is dict or t is list or t is tuple:
+        if not o:
+            return "{}" if t is dict else "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if t is dict:
+            body = sep.join([f"{_quote(key)}: {_json(value, inner)}" for key, value in o.items()])
+            return f"{{\n{inner}{body}\n{pad}}}"
+        body = sep.join([_json(value, inner) for value in o])
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(o)
 
 
 def _render(args, d: dict, header, rows, lines=None):
@@ -129,7 +169,7 @@ def _render(args, d: dict, header, rows, lines=None):
     only the chosen format's are consumed.
     """
     if args.format == "json":
-        text = json.dumps(d, indent=2) + "\n"
+        text = _json(d, "") + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -215,20 +255,45 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+_HANDLERS = {
+    "compute": _cmd_compute,
+    "family": _cmd_family,
+    "a1-poly": _cmd_a1_poly,
+    "find-s": _cmd_find_s,
+    "cohomology": _cmd_cohomology,
+    "verify": _cmd_verify,
+}
+
+
+def _parse(argv):
+    """build_parser().parse_args(argv), with a known command sent straight to its subparser.
+
+    The top-level parser would hand every argument after the command to the
+    same subparser and then copy its namespace; leftovers are refused with the
+    top-level parser's message, as parse_args refuses them.
+    """
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "compute": _cmd_compute,
-        "family": _cmd_family,
-        "a1-poly": _cmd_a1_poly,
-        "find-s": _cmd_find_s,
-        "cohomology": _cmd_cohomology,
-        "verify": _cmd_verify,
-    }
     try:
-        code = handlers[args.command](args)
-        # a buffered stdout meets a closed pipe only here, not at exit
-        sys.stdout.flush()
+        try:
+            args = _parse(argv)
+            code = _HANDLERS[args.command](args)
+        finally:
+            # a buffered stdout meets a closed pipe only here, not at exit;
+            # --help and -h write to stdout too, then leave by SystemExit
+            sys.stdout.flush()
         return code
     except BrokenPipeError as exc:
         # the reader of stdout exited early; the flush at exit writes to devnull

@@ -9,10 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import etainv
-from etainv import invariants
-from etainv.cli import CSV_COLUMNS, main
+from etainv import cli, invariants
+from etainv.cli import CSV_COLUMNS, build_parser, main
 from etainv.coeffcore import UniPoly
 from etainv.cohring import CohClass
 
@@ -552,6 +553,9 @@ def test_rational_env_var_is_ignored(entry, value):
     ["a1-poly", "-k", "3"],
     ["find-s", "-k", "2", "--s-candidates", "2,4"],
     ["cohomology", "-k", "2", "-s", "2"],
+    # help is written to stdout by the parser, before any command runs
+    ["--help"],
+    ["compute", "-h"],
 ])
 def test_closed_stdout_exits_1_with_one_error_line(argv, unbuffered):
     # the reader of stdout is gone before the child writes, as in `etainv verify | true`;
@@ -573,6 +577,79 @@ def test_closed_stdout_exits_1_with_one_error_line(argv, unbuffered):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
     assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
+
+
+VALID = ["-c", "1", "-s", "2", "-t", "3"]
+PARSE_CORPUS = [
+    ["compute", "-k", "2", *VALID, "--approx", "--output", "out.json"],
+    ["family", "-k", "2", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "9", "--t-step", "4"],
+    ["verify"],
+    [], ["-h"], ["--help"], ["bogus"], ["compute", "-h"], ["family", "--help"],
+    # a missing required option, and a value that is not an int
+    ["compute", "-k", "2", "-c", "1", "-s", "2"],
+    ["compute", "-k", "x", *VALID],
+    # leftovers are refused by the top-level parser, a bad choice by the subparser
+    ["compute", "-k", "2", *VALID, "--order", "20"],
+    ["compute", "-k", "2", *VALID, "stray"],
+    ["compute", "-k", "2", *VALID, "--format", "xml"],
+    ["compute", "-k2", *VALID, "--format=csv"],
+    ["compute", "-k", "2", "-c", "-5", "-s", "-2", "-t", "-3"],
+    ["compute", "-k", "2", *VALID, "--form", "csv", "--appr"],
+    ["family", "-k", "2", "-c", "1", "-s", "2", "--t-m", "1", "--t-max", "5"],
+    ["find-s", "-k", "2", "--s-cand=-2,4"],
+    ["--", "compute", "-k", "2", *VALID],
+    ["compute", "-k", "2", "--", *VALID],
+    ["compute", "-k", "2", *VALID, "--"],
+    ["compute", "-k", "2", *VALID, "-t", "5"],
+    ["verify", "extra"],
+    ["verify", "--suite", "other"],
+    ["compute", "-k", "2", *VALID, "--output"],
+    ["compute", "-k", "2", *VALID, "-x"],
+    ["compute", "-k", "2", *VALID, "-h"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        outcome = vars(parse(list(argv)))
+    except SystemExit as exc:
+        outcome = exc.code
+    return (outcome, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=[" ".join(a) or "empty" for a in PARSE_CORPUS])
+def test_parse_is_parse_args(capsys, monkeypatch, argv):
+    # main sends a known command straight to its subparser; the namespace, or
+    # the exit code and messages of a refused argv, are those of parse_args
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _parse_outcome(capsys, build_parser().parse_args, argv)
+    assert _parse_outcome(capsys, cli._parse, argv) == expected
+
+
+_json_strings = st.one_of(st.text(), st.text(st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\U0001f600ab')))
+_json_values = st.recursive(
+    st.one_of(
+        _json_strings,
+        st.integers(),
+        st.integers(-10**4000, 10**4000),
+        st.booleans(),
+        st.none(),
+        st.floats(),
+        st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    ),
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(_json_strings, children),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_json_is_json_dumps_indent_2(value):
+    assert cli._json(value, "") == json.dumps(value, indent=2)
 
 
 def test_missing_subcommand_usage_error(capsys):
