@@ -7,14 +7,20 @@ numeric field in JSON/CSV output is an exact rational string 'num/den';
 decimal renderings appear only alongside the exact values when --approx is
 given, in compute's JSON and text and in family's JSON; CSV output, and
 family's text, ignore --approx.  Output is deterministic: identical config
-gives byte-identical output.
+gives byte-identical output.  JSON output is the bytes of
+json.dumps(d, indent=2), written by _json itself: the stdlib runs its C
+encoder only without indent.
+
+main sends a known command straight to that command's subparser; any other
+argv (none, -h, --help, an unknown command) goes through the top-level
+parser's parse_args.  Both give the namespace and messages parse_args gives.
 
 Exit codes: 0 success, 1 invalid parameters, input past a work limit
 (k <= 64, |c|, |s| and |t| < 2^63, at most 1000 family t values or find-s
 candidates), usage, an unwritable --output path, a stdout closed before the
-output was written, or an --approx value outside float range, 2 internal
-consistency failure.  Every series is truncated at u^{2k}, past which the
-ring is zero, so no truncation option is offered.
+output or the help was written, or an --approx value outside float range,
+2 internal consistency failure.  Every series is truncated at u^{2k}, past
+which the ring is zero, so no truncation option is offered.
 """
 
 from __future__ import annotations
