@@ -7,9 +7,12 @@ the common factor is divided out once per result, so equality compares
 integers.  u and v both sit in degree 2 and the top nonzero degree is 4k,
 spanned by u^{2k-1}*v.
 
-A product is three integer convolutions over den1*den2 that build only the
+A product is one integer convolution over den1*den2 that builds only the
 terms that can survive reduction: P1*P2 up to u^{2k} (which folds into
-c*u^{2k-1}*v) and P1*Q2 + Q1*P2 up to u^{2k-1}*v.  No rational is built per
+c*u^{2k-1}*v) and P1*Q2 + Q1*P2 up to u^{2k-1}*v.  It walks the rows
+(P1[i], Q1[i]) once and adds each nonzero row into both accumulators in
+one pass over the pairs (P2[j], Q2[j]).  Specs are compared by identity
+before equality.  No rational is built per
 coefficient; the rational coefficients p and q are read on demand.  ``**``
 is the package's one binary exponentiation.
 
@@ -115,10 +118,10 @@ class CohClass:
             den //= g
             P = tuple(x // g for x in P)
             Q = tuple(x // g for x in Q)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
+        _set_spec(self, spec)
+        _set_den(self, den)
+        _set_P(self, P)
+        _set_Q(self, Q)
         return self
 
     def __setattr__(self, name, value):
@@ -180,7 +183,7 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         return (
-            self.spec == other.spec
+            (self.spec is other.spec or self.spec == other.spec)
             and self.den == other.den
             and self.P == other.P
             and self.Q == other.Q
@@ -192,7 +195,7 @@ class CohClass:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "CohClass"):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatch(f"{self.spec} vs {other.spec}")
 
     def __add__(self, other: "CohClass") -> "CohClass":
@@ -229,26 +232,46 @@ class CohClass:
         if not isinstance(other, CohClass):
             return self.scale(other)
         self._check(other)
-        n = 2 * self.spec.k
+        spec = self.spec
+        n = 2 * spec.k
         # (p1 + v q1)(p2 + v q2) = p1 p2 + v (p1 q2 + q1 p2)   [v^2 = 0];
-        # u^m = 0 for m > 2k and u^{2k} v = 0, so nothing past these lengths
-        # survives.  The numerators multiply over den1*den2.
-        P1, Q1, P2, Q2 = self.P, self.Q, other.P, other.Q
-        pp = [0] * (n + 1)
+        # u^m = 0 for m > 2k and u^{2k} v = 0, so row i of the left factor
+        # reaches u^m and u^m v for m < 2k, plus u^{2k} through P2[2k-i].
+        # The numerators multiply over den1*den2.
+        P2, Q2 = other.P, other.Q
+        pp = [0] * n
         vq = [0] * n
-        for i, x in enumerate(P1):
+        top = 0  # the u^{2k} coefficient
+        i = 0
+        for x, z in zip(self.P, self.Q):
+            m = i
             if x:
-                for m, y in enumerate(P2[: n + 1 - i], i):
-                    pp[m] += x * y
-                for m, y in enumerate(Q2[: n - i], i):
-                    vq[m] += x * y
-            x = Q1[i]
-            if x:
-                for m, y in enumerate(P2[: n - i], i):
-                    vq[m] += x * y
+                if i:
+                    top += x * P2[n - i]
+                if z:
+                    for y, w in zip(P2, Q2):
+                        if m == n:
+                            break
+                        pp[m] += x * y
+                        vq[m] += x * w + z * y
+                        m += 1
+                else:  # no v-part in this row, as in every left factor of ahat_Bc
+                    for y, w in zip(P2, Q2):
+                        if m == n:
+                            break
+                        pp[m] += x * y
+                        vq[m] += x * w
+                        m += 1
+            elif z:
+                for y in P2:
+                    if m == n:
+                        break
+                    vq[m] += z * y
+                    m += 1
+            i += 1
         # u^{2k} folds into c*u^{2k-1}*v
-        vq[n - 1] += self.spec.c * pp.pop()
-        return CohClass._canonical(self.spec, self.den * other.den, tuple(pp), tuple(vq))
+        vq[n - 1] += spec.c * top
+        return CohClass._canonical(spec, self.den * other.den, tuple(pp), tuple(vq))
 
     __rmul__ = __mul__
 
@@ -273,6 +296,12 @@ class CohClass:
             if c:
                 terms.append(f"({rat_to_str(c)})u^{i}v")
         return "CohClass(" + (" + ".join(terms) or "0") + ")"
+
+
+# __setattr__ refuses every write, so _assign sets the slots through their descriptors
+_set_spec, _set_den, _set_P, _set_Q = (
+    CohClass.__dict__[name].__set__ for name in CohClass.__slots__
+)
 
 
 def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:

@@ -10,6 +10,7 @@ test harness.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from math import prod
 
 from .cohring import CohClass, RingSpec
@@ -165,27 +166,38 @@ def _check_series_engine():
     return True, "series engine: A-hat factor, reversion, compose/revert round trips"
 
 
+def _draws(rng: random.Random):
+    """The values of rng.randint(-5, 5), drawn the way CPython's randint draws them.
+
+    randint(-5, 5) is -5 + randrange(11), and randrange takes getrandbits(4)
+    until the value is below 11; a generator does the same without the
+    argument handling of a call per entry.
+    """
+    getrandbits = rng.getrandbits
+    while True:
+        r = getrandbits(4)
+        if r < 11:
+            yield r - 5
+
+
 def _check_ring_engine():
-    rng = random.Random(11)
+    draws = _draws(random.Random(11))
     for k in (2, 3):
+        n = 2 * k
         for c in (1, 3):
             spec = RingSpec(k, c)
             u = CohClass.u(spec)
             v = CohClass.v(spec)
-            top = u ** (2 * k - 1) * v
-            if u ** (2 * k) != top.scale(c) or (u ** (2 * k + 1)):
+            top = u ** (n - 1) * v
+            if u ** n != top.scale(c) or (u ** (n + 1)):
                 return False, f"ring relations fail at (k={k}, c={c})"
             for _ in range(50):
-                xs = [
-                    CohClass(
-                        spec,
-                        [rng.randint(-5, 5) for _ in range(2 * k)],
-                        [rng.randint(-5, 5) for _ in range(2 * k)],
-                    )
+                a, b, d = (
+                    CohClass(spec, list(islice(draws, n)), list(islice(draws, n)))
                     for _ in range(3)
-                ]
-                a, b, d = xs
-                if (a * b) * d != a * (b * d) or a * b != b * a:
+                )
+                ab = a * b
+                if ab * d != a * (b * d) or ab != b * a:
                     return False, f"associativity/commutativity fail at (k={k}, c={c})"
     return True, "ring engine: defining relations and randomized associativity/commutativity"
 

@@ -7,12 +7,13 @@ them are larger randomized runs that would slow the CLI suite about fivefold.
 """
 
 import random
+from itertools import islice
 
 from etainv.cohring import CohClass, RingSpec
 from etainv.coeffcore import Rational
 from etainv.series import PowerSeries
 from etainv import verify
-from etainv.verify import PAPER_SUITE, _check_ring_engine
+from etainv.verify import PAPER_SUITE, _check_ring_engine, _draws
 from etainv.zcohomology import IntMatrix
 
 
@@ -105,6 +106,41 @@ def test_ring_engine_catches_a_product_without_the_fold(monkeypatch):
     ok, detail = _check_ring_engine()
     assert not ok
     assert detail == "ring relations fail at (k=2, c=1)"
+
+
+def test_ring_engine_draws_are_randint():
+    # ring_engine takes 2 * 2k entries for each of the 3 classes of a triple,
+    # 50 triples per (k, c): the same 6,000 values as randint(-5, 5) on this
+    # interpreter, so it multiplies the same 200 triples as a randint loop
+    count = sum(50 * 3 * 2 * 2 * k for k in (2, 3) for c in (1, 3))
+    rng = random.Random(11)
+    expected = [rng.randint(-5, 5) for _ in range(count)]
+    assert count == 6000
+    assert list(islice(_draws(random.Random(11)), count)) == expected
+
+
+def test_ring_engine_catches_a_noncommutative_product(monkeypatch):
+    # xy + (x_v y_u - x_u y_v) u^{2k-1} v, with x_u and x_v the coefficients
+    # of u and v in x.  The added term is a product of two derivations to the
+    # top class, so the product stays associative; it leaves the powers of u
+    # and u^{2k-1} v alone.  Only the commutativity check, which compares the
+    # reused a * b with b * a, can see it.
+    product = CohClass.__mul__
+
+    def skewed(self, other):
+        xy = product(self, other)
+        if not isinstance(other, CohClass):
+            return xy
+        skew = self.q[0] * other.p[1] - self.p[1] * other.q[0]
+        return xy + CohClass(self.spec, (), [0] * (2 * self.spec.k - 1) + [skew])
+
+    spec = RingSpec(2, 1)
+    draws = _draws(random.Random(11))
+    a, b, d = (CohClass(spec, list(islice(draws, 4)), list(islice(draws, 4))) for _ in range(3))
+    monkeypatch.setattr(CohClass, "__mul__", skewed)
+    assert (a * b) * d == a * (b * d)
+    assert a * b != b * a
+    assert _check_ring_engine() == (False, "associativity/commutativity fail at (k=2, c=1)")
 
 
 def test_gysin_check_catches_a_wrong_ring_route(monkeypatch, capsys):

@@ -110,6 +110,16 @@ def test_spec_mismatch():
         a + b
     with pytest.raises(SpecMismatch):
         a * b
+    with pytest.raises(SpecMismatch):
+        b * a
+    assert a != b
+    # the spec is compared by identity first: distinct but equal specs
+    # still name one ring
+    c = CohClass.u(RingSpec(2, 1))
+    assert c.spec is not a.spec
+    assert a == c and hash(a) == hash(c)
+    assert a * c == CohClass(RingSpec(2, 1), (0, 0, 1))
+    assert a + c == a.scale(2)
 
 
 def test_scalar_multiplication():
