@@ -12,9 +12,9 @@ terms that can survive reduction: P1*P2 up to u^{2k} (which folds into
 c*u^{2k-1}*v) and P1*Q2 + Q1*P2 up to u^{2k-1}*v.  It walks the rows
 (P1[i], Q1[i]) once and adds each nonzero row into both accumulators in
 one pass over the pairs (P2[j], Q2[j]).  Specs are compared by identity
-before equality.  No rational is built per
-coefficient; the rational coefficients p and q are read on demand.  ``**``
-is the package's one binary exponentiation.
+before equality.  No rational is built per coefficient; the rational
+coefficients p and q are read on demand.  ``**`` is the package's one
+binary exponentiation.
 
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f at a degree-2 class a*u + b*v in closed form, as
