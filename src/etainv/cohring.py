@@ -11,10 +11,9 @@ A product is one integer convolution over den1*den2 that builds only the
 terms that can survive reduction: P1*P2 up to u^{2k} (which folds into
 c*u^{2k-1}*v) and P1*Q2 + Q1*P2 up to u^{2k-1}*v.  It walks the rows
 (P1[i], Q1[i]) once and adds each nonzero row into both accumulators in
-one pass over the pairs (P2[j], Q2[j]).  Specs are compared by identity
-before equality.  No rational is built per coefficient; the rational
-coefficients p and q are read on demand.  ``**`` is the package's one
-binary exponentiation.
+one pass over the pairs (P2[j], Q2[j]).  No rational is built per
+coefficient; the rational coefficients p and q are read on demand.  ``**``
+is the package's one binary exponentiation.
 
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f at a degree-2 class a*u + b*v in closed form, as
@@ -118,10 +117,10 @@ class CohClass:
             den //= g
             P = tuple(x // g for x in P)
             Q = tuple(x // g for x in Q)
-        _set_spec(self, spec)
-        _set_den(self, den)
-        _set_P(self, P)
-        _set_Q(self, Q)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "Q", Q)
         return self
 
     def __setattr__(self, name, value):
@@ -183,7 +182,7 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         return (
-            (self.spec is other.spec or self.spec == other.spec)
+            self.spec == other.spec
             and self.den == other.den
             and self.P == other.P
             and self.Q == other.Q
@@ -195,7 +194,7 @@ class CohClass:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "CohClass"):
-        if self.spec is not other.spec and self.spec != other.spec:
+        if self.spec != other.spec:
             raise SpecMismatch(f"{self.spec} vs {other.spec}")
 
     def __add__(self, other: "CohClass") -> "CohClass":
@@ -248,20 +247,12 @@ class CohClass:
             if x:
                 if i:
                     top += x * P2[n - i]
-                if z:
-                    for y, w in zip(P2, Q2):
-                        if m == n:
-                            break
-                        pp[m] += x * y
-                        vq[m] += x * w + z * y
-                        m += 1
-                else:  # no v-part in this row, as in every left factor of ahat_Bc
-                    for y, w in zip(P2, Q2):
-                        if m == n:
-                            break
-                        pp[m] += x * y
-                        vq[m] += x * w
-                        m += 1
+                for y, w in zip(P2, Q2):
+                    if m == n:
+                        break
+                    pp[m] += x * y
+                    vq[m] += x * w + z * y
+                    m += 1
             elif z:
                 for y in P2:
                     if m == n:
@@ -296,12 +287,6 @@ class CohClass:
             if c:
                 terms.append(f"({rat_to_str(c)})u^{i}v")
         return "CohClass(" + (" + ".join(terms) or "0") + ")"
-
-
-# __setattr__ refuses every write, so _assign sets the slots through their descriptors
-_set_spec, _set_den, _set_P, _set_Q = (
-    CohClass.__dict__[name].__set__ for name in CohClass.__slots__
-)
 
 
 def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:

@@ -113,8 +113,7 @@ def test_spec_mismatch():
     with pytest.raises(SpecMismatch):
         b * a
     assert a != b
-    # the spec is compared by identity first: distinct but equal specs
-    # still name one ring
+    # distinct but equal specs name one ring
     c = CohClass.u(RingSpec(2, 1))
     assert c.spec is not a.spec
     assert a == c and hash(a) == hash(c)
