@@ -130,8 +130,9 @@ def check_param_bound(name: str, value: int):
 class FamilyParams:
     """Parameters (k, c, s, t) of one family member.
 
-    Standing assumptions: k >= 2, c odd, s even and nonzero, t odd and
-    coprime to s.  Work limits: k <= MAX_K and |c|, |s|, |t| < PARAM_BOUND.
+    Every field is an int (a bool is refused).  Standing assumptions: k >= 2,
+    c odd, s even and nonzero, t odd and coprime to s.  Work limits:
+    k <= MAX_K and |c|, |s|, |t| < PARAM_BOUND.
     """
 
     k: int
@@ -140,8 +141,9 @@ class FamilyParams:
     t: int
 
     def __post_init__(self):
-        if type(self.k) is not int:
-            raise InvalidParams(f"k must be an int, got {self.k!r}")
+        for name in ("k", "c", "s", "t"):
+            if type(getattr(self, name)) is not int:
+                raise InvalidParams(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.k < 2:
             raise InvalidParams(f"k must be >= 2 (standing assumption), got k={self.k}")
         if self.k > MAX_K:
@@ -559,8 +561,8 @@ def _a1_poly(k: int) -> UniPoly:
 def find_good_s(k: int, s_candidates) -> list[int]:
     """Filter even nonzero candidates to those with A1(s) != 0.
 
-    More than MAX_S_CANDIDATES candidates, or one that is invalid or past
-    PARAM_BOUND, raise before A1(s) is built.
+    More than MAX_S_CANDIDATES candidates, or one that is not an int, is
+    invalid or is past PARAM_BOUND, raise before A1(s) is built.
     """
     _check_k(k)
     s_candidates = list(s_candidates)
@@ -569,6 +571,8 @@ def find_good_s(k: int, s_candidates) -> list[int]:
             f"at most {MAX_S_CANDIDATES} s candidates (work limit), got {len(s_candidates)}"
         )
     for s in s_candidates:
+        if type(s) is not int:
+            raise InvalidParams(f"candidate s must be an int, got {s!r}")
         check_param_bound("s", s)
         if s == 0 or s % 2 != 0:
             raise InvalidParams(f"candidate s={s} is not a nonzero even integer")
@@ -614,8 +618,8 @@ def family_scan(k: int, c: int, s: int, t_values) -> ScanResult:
     """Per-t eta reports plus the number of distinct eta values.
 
     A k, c or s that breaks the standing assumptions, more than
-    MAX_T_VALUES t values, or any t past PARAM_BOUND, raise before any row.  Invalid t values are
-    reported per entry and the scan continues; results are assembled in the
+    MAX_T_VALUES t values, or any int t past PARAM_BOUND, raise before any row.  Invalid t
+    values, a t that is not an int among them, are reported per entry and the scan continues; results are assembled in the
     order of the sequence t_values.  (A0, A1) depend only on (k, c, s): at
     the first valid t they are checked once, for every t, against the per-k
     ring certificate, and each valid row is then a = A0 - A1*t.
@@ -627,7 +631,8 @@ def family_scan(k: int, c: int, s: int, t_values) -> ScanResult:
             f"at most {MAX_T_VALUES} t values per scan (work limit), got {count}"
         )
     for t in t_values:
-        check_param_bound("t", t)
+        if type(t) is int:  # any other t is refused on its own row
+            check_param_bound("t", t)
     entries = []
     seen = set()
     split = None

@@ -14,7 +14,10 @@ Every operation runs on the integers and reduces its result by one gcd
 recurrences of ``**`` and :meth:`PowerSeries.divide` keep the outputs found so
 far as integers over one running denominator, the lcm of their reduced
 denominators (:func:`_append_over`), so each new coefficient is an integer
-sum and one gcd.
+sum and one gcd.  :meth:`PowerSeries.compose` (Horner's rule) and
+:meth:`PowerSeries.revert` (Lagrange's formula) are integer recurrences too:
+each step is one integer convolution over a running denominator, reduced by
+one gcd (:func:`_reduced`), and no series is built until the result.
 """
 
 from __future__ import annotations
@@ -70,6 +73,14 @@ def _append_over(nums: list, den: int, num: int, q: int) -> int:
     return den
 
 
+def _reduced(den: int, nums: list) -> tuple:
+    """(den, nums) with the common factor of den and every entry of nums divided out."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return den, nums
+    return den // g, [x // g for x in nums]
+
+
 def _terms(nums) -> list:
     """The (i, x) of each nonzero entry, the operand form of _int_convolve."""
     return [(i, x) for i, x in enumerate(nums) if x]
@@ -97,10 +108,7 @@ class PowerSeries:
         return object.__new__(cls)._assign(variable, order, den, nums)
 
     def _assign(self, variable: str, order: int, den: int, nums) -> "PowerSeries":
-        g = gcd(den, *nums)
-        if g != 1:
-            den //= g
-            nums = [x // g for x in nums]
+        den, nums = _reduced(den, nums)
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "den", den)
@@ -262,39 +270,52 @@ class PowerSeries:
         return PowerSeries._canonical(self.variable, n, den * self.den, nums)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner), exact to min(self.order, inner.order); inner(0) must vanish.
+        """self(inner), exact to n = min(self.order, inner.order); inner(0) must vanish.
 
-        Horner in the outer variable on self's integer numerators, with
-        self.den applied once at the end.
+        Horner's rule on the integer numerators: with self = f/F and
+        inner = g/G, acc_n = f_n and acc_m = f_m + inner * acc_{m+1}, kept as
+        integers A over one running denominator L, so
+        acc_m = (f_m L G + A * g) / (L G): one integer convolution and one
+        gcd per step, and F is applied once at the end.  acc_m is multiplied
+        by inner^m, whose valuation is at least m, so it is kept only to
+        order n - m; the steps take about n^3/6 multiply-adds in all.
         """
         if inner.nums[0]:
             raise NonzeroConstantInner("inner series has a nonzero constant term")
         n = min(self.order, inner.order)
-        g = inner.truncate(n)
-        # truncation keeps every step O(n^2)
-        acc = PowerSeries.constant(g.variable, self.nums[n], n)
+        g_terms = _terms(inner.nums[: n + 1])
+        acc, den = [self.nums[n]], 1
         for m in range(n - 1, -1, -1):
-            acc = acc * g + self.nums[m]
-        return PowerSeries._canonical(g.variable, n, acc.den * self.den, acc.nums)
+            acc = _int_convolve(n - m + 1, _terms(acc), g_terms)
+            den *= inner.den
+            acc[0] = self.nums[m] * den  # g_0 = 0, so the convolution left 0 here
+            den, acc = _reduced(den, acc)
+        return PowerSeries._canonical(inner.variable, n, den * self.den, acc)
 
     def revert(self) -> "PowerSeries":
         """Compositional inverse g with self(g) = id, by Lagrange inversion.
 
-        Requires f(0) = 0 and a nonzero linear coefficient.
+        Requires f(0) = 0 and a nonzero linear coefficient.  With self = x*h
+        and q = 1/h, g_m = [x^{m-1}] q^m / m.  The powers q^m are kept to
+        order n - 1 as integers over one running denominator, one integer
+        convolution with q and one gcd per step, and each g_m is appended
+        over the running denominator of the g found so far (as in divide).
         """
         if self.order < 1 or self.nums[0]:
             raise NotReversible("series must have zero constant term")
         if not self.nums[1]:
             raise NotReversible("linear coefficient must be a unit")
         n = self.order
-        # self = x * h with h(0) a unit; q = 1/h, g_m = [x^{m-1}] q^m / m
         h = PowerSeries._canonical(self.variable, n - 1, self.den, self.nums[1:])
-        power = PowerSeries.constant(self.variable, 1, n - 1)
-        q = power.divide(h)
+        q = PowerSeries.constant(self.variable, 1, n - 1).divide(h)
+        q_terms = _terms(q.nums)
+        power, power_den = q.nums, q.den  # q^m, from m = 1
         nums, den = [0], 1
         for m in range(1, n + 1):
-            power = power * q
-            den = _append_over(nums, den, power.nums[m - 1], m * power.den)
+            if m > 1:
+                power = _int_convolve(n, _terms(power), q_terms)
+                power_den, power = _reduced(power_den * q.den, power)
+            den = _append_over(nums, den, power[m - 1], m * power_den)
         return PowerSeries._canonical(self.variable, n, den, nums)
 
     def __repr__(self):

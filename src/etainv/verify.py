@@ -191,11 +191,14 @@ def _check_ring_engine():
             top = u ** (n - 1) * v
             if u ** n != top.scale(c) or (u ** (n + 1)):
                 return False, f"ring relations fail at (k={k}, c={c})"
-            for _ in range(50):
-                a, b, d = (
-                    CohClass(spec, list(islice(draws, n)), list(islice(draws, n)))
-                    for _ in range(3)
-                )
+            # 50 triples of classes (P + v*Q)/1, each P and Q the next n draws,
+            # built in normal form: den = 1 and integer entries need no reduction
+            values = tuple(islice(draws, 300 * n))
+            classes = (
+                CohClass._canonical(spec, 1, values[i : i + n], values[i + n : i + 2 * n])
+                for i in range(0, 300 * n, 2 * n)
+            )
+            for a, b, d in zip(classes, classes, classes):
                 ab = a * b
                 if ab * d != a * (b * d) or ab != b * a:
                     return False, f"associativity/commutativity fail at (k={k}, c={c})"

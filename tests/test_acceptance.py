@@ -119,6 +119,44 @@ def test_ring_engine_draws_are_randint():
     assert list(islice(_draws(random.Random(11)), count)) == expected
 
 
+def test_ring_engine_multiplies_the_randint_triples(monkeypatch):
+    # the criterion builds its classes in normal form from _draws; each of
+    # the 200 triples must be the one a loop of CohClass(spec, p, q) over
+    # randint(-5, 5) builds, 2k entries for p and then 2k for q, a, b, d in turn
+    product = CohClass.__mul__
+    seen = {}
+
+    def recording(self, other):
+        seen.setdefault(self.spec, []).append((self, other))
+        return product(self, other)
+
+    monkeypatch.setattr(CohClass, "__mul__", recording)
+    assert _check_ring_engine()[0]
+    monkeypatch.undo()
+    rng = random.Random(11)
+    for k in (2, 3):
+        for c in (1, 3):
+            spec = RingSpec(k, c)
+            # the ring relations come first; then 5 products per triple:
+            # a * b, (a * b) * d, b * d, a * (b * d), b * a
+            pairs = seen[spec][-250:]
+            for t in range(50):
+                a, b, d = (
+                    CohClass(
+                        spec,
+                        [rng.randint(-5, 5) for _ in range(2 * k)],
+                        [rng.randint(-5, 5) for _ in range(2 * k)],
+                    )
+                    for _ in range(3)
+                )
+                ab, abd, bd, abd2, ba = pairs[5 * t : 5 * t + 5]
+                assert ab == (a, b), (k, c, t)
+                assert abd == (a * b, d), (k, c, t)
+                assert bd == (b, d), (k, c, t)
+                assert abd2 == (a, b * d), (k, c, t)
+                assert ba == (b, a), (k, c, t)
+
+
 def test_ring_engine_catches_a_noncommutative_product(monkeypatch):
     # xy + (x_v y_u - x_u y_v) u^{2k-1} v, with x_u and x_v the coefficients
     # of u and v in x.  The added term is a product of two derivations to the

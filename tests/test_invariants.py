@@ -1,6 +1,7 @@
 """Local datum, eta reports, the three A1 paths, and family scans."""
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -256,6 +257,45 @@ def test_non_int_k_is_refused_before_any_cache(cold_caches):
         a1_poly_in_s(True)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, True, 2, 3), "c must be an int, got True"),
+        ((2, 1, 2.0, 3), "s must be an int, got 2.0"),
+        ((2, 1, 2, 3.0), "t must be an int, got 3.0"),
+        ((2, 1, 2, True), "t must be an int, got True"),
+        # the type is checked before the standing assumptions
+        ((1, 1.0, 2, 3), "c must be an int, got 1.0"),
+        ((2, 2, 2, 1e30), "t must be an int, got 1e+30"),
+    ],
+)
+def test_non_int_c_s_t_are_refused(args, message):
+    with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+        FamilyParams(*args)
+
+
+def test_non_int_t_is_refused_on_its_own_row():
+    result = family_scan(2, 1, 2, [1, 3.0, True, 1e30, 5])
+    assert [e.t for e in result.entries if e.report is not None] == [1, 5]
+    assert [e.error for e in result.entries if e.report is None] == [
+        "t must be an int, got 3.0",
+        "t must be an int, got True",
+        "t must be an int, got 1e+30",
+    ]
+    assert result.distinct_count == 2
+
+
+def test_non_int_s_candidate_is_refused_before_a1(monkeypatch):
+    def refuse(k):
+        raise AssertionError("A1(s) was built for a non-int candidate")
+
+    monkeypatch.setattr(invariants, "a1_poly_in_s", refuse)
+    for bad in (2.0, True, "2"):
+        message = f"candidate s must be an int, got {bad!r}"
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            find_good_s(2, [2, bad])
+
+
 # -- the ps_exp/divide route as the oracle for the two closed forms ------------
 
 
@@ -329,6 +369,12 @@ def test_a1_residue_matches_direct():
     for k in (2, 3, 4):
         for s in (2, -2, 4, 6):
             assert a1_residue(k, s) == a1_direct(k, s), (k, s)
+
+
+@pytest.mark.parametrize("k", [16, 32])
+def test_a1_residue_matches_direct_at_large_order(k):
+    # reversion and composition at order 2k + 2, where the integers are largest
+    assert a1_residue(k, 6) == a1_direct(k, 6)
 
 
 def test_s2_closed_form_extends():

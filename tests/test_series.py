@@ -212,6 +212,82 @@ def test_product_scales_each_numerator_to_the_shared_denominator():
         assert all(isinstance(x, Rational) for x in h.coeffs if x)
 
 
+# references in plain Fraction lists, with no PowerSeries operation
+
+
+def _mul_reference(a, b, n):
+    """The product of two coefficient lists of length n + 1, truncated after x^n."""
+    out = [Fraction(0)] * (n + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: n + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _compose_reference(f, g, n):
+    """sum_i f_i g^i to order n, for coefficient lists f and g of length n + 1."""
+    out = [Fraction(0)] * (n + 1)
+    power = [Fraction(1)] + [Fraction(0)] * n
+    for c in f:
+        out = [x + c * y for x, y in zip(out, power)]
+        power = _mul_reference(power, g, n)
+    return out
+
+
+def _padded(coeffs, order):
+    return [Fraction(c) for c in coeffs[: order + 1]] + [Fraction(0)] * (order + 1 - len(coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(product_coeffs, max_size=21),
+    st.integers(min_value=0, max_value=20),
+    st.sampled_from([1, 2]),
+    product_coeffs.filter(bool),
+    st.lists(product_coeffs, max_size=20),
+    st.integers(min_value=0, max_value=20),
+)
+@example([1, Rational(1, 2), Rational(-3, LARGE_PRIMES[0]), 5], 20, 1, Rational(3), [1, 0, -2], 6)
+@example([Rational(2, 7), 0, 1, Rational(10**30, LARGE_PRIMES[1])], 4, 2, Rational(-1, 5), [Rational(1, 3)], 20)
+@example([Rational(10**29, LARGE_PRIMES[2])] * 21, 20, 1, Rational(7, LARGE_PRIMES[0]), [Rational(1, LARGE_PRIMES[1])] * 19, 20)
+def test_compose_is_the_sum_of_powers(f_coeffs, f_order, valuation, lead, g_tail, g_order):
+    # inner series of valuation 1 and 2 with a leading coefficient other than 1;
+    # the outer order above and below the inner one
+    f = PowerSeries("x", f_coeffs, f_order)
+    g = PowerSeries("y", [0] * valuation + [lead] + g_tail, g_order)
+    n = min(f_order, g_order)
+    expected = _compose_reference(
+        _padded(f_coeffs, n), _padded([0] * valuation + [lead] + g_tail, n), n
+    )
+    h = f.compose(g)
+    assert (h.variable, h.order) == ("y", n)
+    assert list(h.coeffs) == expected
+
+
+def _revert_reference(f, n):
+    """g with f(g) = x to order n; g_m solves [x^m] f(g) = 0, which is f_1 g_m plus lower g."""
+    g = [Fraction(0), 1 / f[1]] + [Fraction(0)] * (n - 1)
+    for m in range(2, n + 1):
+        g[m] = -_compose_reference(f[: m + 1], g[: m + 1], m)[m] / f[1]
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from([Rational(3), Rational(-1, 5)]), product_coeffs.filter(bool)),
+    st.lists(product_coeffs, max_size=11),
+    st.integers(min_value=1, max_value=12),
+)
+@example(Rational(3), [], 8)
+@example(Rational(-1, 5), [Rational(1, 2), 0, Rational(-7, LARGE_PRIMES[0])], 12)
+@example(Rational(10**30, LARGE_PRIMES[2]), [Rational(1, LARGE_PRIMES[1]), 4], 1)
+def test_revert_is_solved_coefficient_by_coefficient(lead, tail, order):
+    coeffs = [0, lead] + tail
+    g = PowerSeries("x", coeffs, order).revert()
+    assert g.order == order
+    assert list(g.coeffs) == _revert_reference(_padded(coeffs, order), order)
+
+
 def _repeated_mul(f, n):
     out = PowerSeries.constant(f.variable, 1, f.order)
     for _ in range(n):
