@@ -618,8 +618,9 @@ def family_scan(k: int, c: int, s: int, t_values) -> ScanResult:
     """Per-t eta reports plus the number of distinct eta values.
 
     A k, c or s that breaks the standing assumptions, more than
-    MAX_T_VALUES t values, or any int t past PARAM_BOUND, raise before any row.  Invalid t
-    values, a t that is not an int among them, are reported per entry and the scan continues; results are assembled in the
+    MAX_T_VALUES t values, or any int t past PARAM_BOUND, raise before any
+    row.  Invalid t values, a t that is not an int among them, are reported
+    per entry and the scan continues; results are assembled in the
     order of the sequence t_values.  (A0, A1) depend only on (k, c, s): at
     the first valid t they are checked once, for every t, against the per-k
     ring certificate, and each valid row is then a = A0 - A1*t.

@@ -253,12 +253,11 @@ def _padded(coeffs, order):
 def test_compose_is_the_sum_of_powers(f_coeffs, f_order, valuation, lead, g_tail, g_order):
     # inner series of valuation 1 and 2 with a leading coefficient other than 1;
     # the outer order above and below the inner one
+    g_coeffs = [0] * valuation + [lead] + g_tail
     f = PowerSeries("x", f_coeffs, f_order)
-    g = PowerSeries("y", [0] * valuation + [lead] + g_tail, g_order)
+    g = PowerSeries("y", g_coeffs, g_order)
     n = min(f_order, g_order)
-    expected = _compose_reference(
-        _padded(f_coeffs, n), _padded([0] * valuation + [lead] + g_tail, n), n
-    )
+    expected = _compose_reference(_padded(f_coeffs, n), _padded(g_coeffs, n), n)
     h = f.compose(g)
     assert (h.variable, h.order) == ("y", n)
     assert list(h.coeffs) == expected
