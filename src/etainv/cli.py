@@ -40,7 +40,6 @@ from .invariants import (
     FamilyParams,
     InvalidParams,
     a1_poly_in_s,
-    check_param_bound,
     family_scan,
     find_good_s,
     relative_eta,
@@ -244,7 +243,6 @@ def _cmd_find_s(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    check_param_bound("s", args.s)
     table = cohomology_Mbar(args.k, args.s)
     order = h4_M_order(args.s)
     d = {"k": args.k, "s": args.s, "h4_quotient_order": order,

@@ -89,11 +89,6 @@ class UniPoly:
     def __bool__(self) -> bool:
         return bool(self.nums)
 
-    def __getitem__(self, degree: int):
-        if 0 <= degree < len(self.nums):
-            return Rational(self.nums[degree], self.den)
-        return Rational(0)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
             return (self.variable, self.den, self.nums) == (other.variable, other.den, other.nums)

@@ -19,7 +19,9 @@ Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f at a degree-2 class a*u + b*v in closed form, as
 f(a*u) + b*v*f'(a*u).  It runs on integer numerators, the series' and the
 class's, so the sums run in integers and the result is one canonical class.
-No k above MAX_K (64) is accepted.
+The package's one parameter gate, :func:`check_params`, lives here beside
+MAX_K, in the lowest module that needs it; every public entry point of the
+package, RingSpec included, calls it first.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .series import PowerSeries
 
 __all__ = [
     "MAX_K",
+    "PARAM_BOUND",
+    "InvalidParams",
+    "WorkLimit",
+    "check_params",
     "RingSpec",
     "CohClass",
     "SpecMismatch",
@@ -46,6 +52,10 @@ __all__ = [
 
 # work limit: the largest k accepted anywhere in the package
 MAX_K = 64
+# work limit: every accepted c, s and t has absolute value below this, so the
+# largest value printed, A1(s) at k = MAX_K, stays far inside the
+# interpreter's 4300-digit limit on int-to-string conversion
+PARAM_BOUND = 2**63
 
 
 class SpecMismatch(ValueError):
@@ -60,23 +70,66 @@ class InsufficientOrder(ValueError):
     """Series truncation order too small to evaluate exactly in the ring."""
 
 
+class InvalidParams(ValueError):
+    """Family parameters violating the standing assumptions or a work limit."""
+
+
+class WorkLimit(InvalidParams):
+    """Input past a work limit: it refuses the whole request, never one family row."""
+
+
+def check_params(k=2, c=1, s=2, t=1):
+    """The one parameter gate: raise InvalidParams unless k, c, s and t are valid.
+
+    Every public entry point calls it, with the parameters it takes, before
+    any series or ring work.  A parameter left out keeps its default, a
+    valid value, so only the given ones can fail; None is a value like any
+    other, and is refused.  The checks run in this order, and the first
+    failure raises:
+
+    1. every value is an int (a bool is refused);
+    2. k >= 2, then k <= MAX_K (work limit);
+    3. |c|, |s| and |t| < PARAM_BOUND (work limit);
+    4. c odd, s even and nonzero, t odd;
+    5. gcd(s, t) = 1.
+
+    k >= 2 and steps 4 and 5 are the paper's standing assumptions; k <= MAX_K
+    and step 3 are work limits, and raise WorkLimit, an InvalidParams.
+    """
+    # each failure names the first parameter in the order k, c, s, t that breaks it
+    if not type(k) is type(c) is type(s) is type(t) is int:
+        name, value = next((n, v) for n, v in zip("kcst", (k, c, s, t)) if type(v) is not int)
+        raise InvalidParams(f"{name} must be an int, got {value!r}")
+    if k < 2:
+        raise InvalidParams(f"k must be >= 2 (standing assumption), got k={k}")
+    if k > MAX_K:
+        raise WorkLimit(f"k must be <= {MAX_K} (work limit), got k={k}")
+    if max(abs(c), abs(s), abs(t)) >= PARAM_BOUND:
+        name, value = next((n, v) for n, v in zip("cst", (c, s, t)) if abs(v) >= PARAM_BOUND)
+        raise WorkLimit(
+            f"|{name}| must be < 2^63 (work limit), got a {abs(value).bit_length()}-bit {name}"
+        )
+    if c % 2 == 0:
+        raise InvalidParams(f"c must be odd (standing assumption), got c={c}")
+    if s == 0 or s % 2 != 0:
+        raise InvalidParams(f"s must be a nonzero even integer (standing assumption), got s={s}")
+    if t % 2 == 0:
+        raise InvalidParams(f"t must be odd (standing assumption), got t={t}")
+    if gcd(s, t) != 1:
+        raise InvalidParams(
+            f"s and t must be coprime (standing assumption), got gcd({s},{t})={gcd(s, t)}"
+        )
+
+
 @dataclass(frozen=True)
 class RingSpec:
-    """Parameters (k, c) of the ring, both ints; k >= 2 and c odd are standing assumptions."""
+    """Parameters (k, c) of the ring, checked by :func:`check_params`."""
 
     k: int
     c: int
 
     def __post_init__(self):
-        for name in ("k", "c"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.k > MAX_K:
-            raise ValueError(f"k must be <= {MAX_K} (work limit), got {self.k}")
-        if self.c % 2 == 0:
-            raise ValueError(f"c must be odd, got {self.c}")
+        check_params(self.k, self.c)
 
 
 class CohClass:

@@ -46,8 +46,10 @@ no series division; that route builds F and G again in a1_direct, a1_residue
 and verify's series_engine criterion, so the closed forms are checked against
 it at run time.  A request at a warm k does no ring work.
 
-Work limits, checked before any series work: k <= MAX_K (64), |c|, |s| and
-|t| below PARAM_BOUND (2^63), at most MAX_T_VALUES (1000) t values per family
+Every public function here passes its parameters to cohring.check_params,
+the package's one gate, before any series work; InvalidParams and
+PARAM_BOUND are imported from there.  The count limits are checked here,
+also before any series work: at most MAX_T_VALUES (1000) t values per family
 scan and at most MAX_S_CANDIDATES (1000) candidates per find_good_s call.
 
 The sign convention: the integral carries an undetermined global sign coming
@@ -61,13 +63,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .coeffcore import Rational, UniPoly, rat_to_str
 from .cohring import (
-    MAX_K,
+    PARAM_BOUND,
     CohClass,
+    InvalidParams,
     RingSpec,
+    WorkLimit,
+    check_params,
     coh_eval_series,
     coh_integrate,
 )
@@ -81,7 +86,6 @@ __all__ = [
     "ScanEntry",
     "ScanResult",
     "ahat_Bc",
-    "local_datum_integrand",
     "local_datum",
     "relative_eta",
     "decompose_affine_in_t",
@@ -95,7 +99,6 @@ __all__ = [
     "MAX_T_VALUES",
     "MAX_S_CANDIDATES",
     "PARAM_BOUND",
-    "check_param_bound",
 ]
 
 SIGN_PLUS = "PLUS"
@@ -104,36 +107,15 @@ SIGN_PLUS = "PLUS"
 MAX_T_VALUES = 1_000
 # work limit on one find_good_s call, the same count as a family scan
 MAX_S_CANDIDATES = MAX_T_VALUES
-# work limit: every accepted c, s and t has absolute value below this, so the
-# largest value printed, A1(s) at k = MAX_K, stays far inside the
-# interpreter's 4300-digit limit on int-to-string conversion
-PARAM_BOUND = 2**63
-
-
-class InvalidParams(ValueError):
-    """Family parameters violating the standing assumptions."""
 
 
 class AffinityViolation(AssertionError):
     """The local datum failed to be affine in t; indicates an implementation bug."""
 
 
-def check_param_bound(name: str, value: int):
-    """Refuse a c, s or t with |value| >= PARAM_BOUND (work limit)."""
-    if abs(value) >= PARAM_BOUND:
-        raise InvalidParams(
-            f"|{name}| must be < 2^63 (work limit), got a {abs(value).bit_length()}-bit {name}"
-        )
-
-
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters (k, c, s, t) of one family member.
-
-    Every field is an int (a bool is refused).  Standing assumptions: k >= 2,
-    c odd, s even and nonzero, t odd and coprime to s.  Work limits:
-    k <= MAX_K and |c|, |s|, |t| < PARAM_BOUND.
-    """
+    """Parameters (k, c, s, t) of one family member, checked by :func:`check_params`."""
 
     k: int
     c: int
@@ -141,28 +123,7 @@ class FamilyParams:
     t: int
 
     def __post_init__(self):
-        for name in ("k", "c", "s", "t"):
-            if type(getattr(self, name)) is not int:
-                raise InvalidParams(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.k < 2:
-            raise InvalidParams(f"k must be >= 2 (standing assumption), got k={self.k}")
-        if self.k > MAX_K:
-            raise InvalidParams(f"k must be <= {MAX_K} (work limit), got k={self.k}")
-        for name in ("c", "s", "t"):
-            check_param_bound(name, getattr(self, name))
-        if self.c % 2 == 0:
-            raise InvalidParams(f"c must be odd (standing assumption), got c={self.c}")
-        if self.s == 0 or self.s % 2 != 0:
-            raise InvalidParams(
-                f"s must be a nonzero even integer (standing assumption), got s={self.s}"
-            )
-        if self.t % 2 == 0:
-            raise InvalidParams(f"t must be odd (standing assumption), got t={self.t}")
-        if math.gcd(self.s, self.t) != 1:
-            raise InvalidParams(
-                f"s and t must be coprime (standing assumption), got gcd({self.s},{self.t})="
-                f"{math.gcd(self.s, self.t)}"
-            )
+        check_params(self.k, self.c, self.s, self.t)
 
     @property
     def spec(self) -> RingSpec:
@@ -303,19 +264,18 @@ def ahat_Bc(spec: RingSpec) -> CohClass:
     )
 
 
-def local_datum_integrand(params: FamilyParams) -> CohClass:
-    """A-hat(B_c) times 1/(e^{y/2} + e^{-y/2}) at the normal Euler class y = su + tv."""
-    return ahat_Bc(params.spec) * _sech_factor(params.spec, params.s, params.t)
-
-
 def _sech_factor(spec: RingSpec, s: int, t: int) -> CohClass:
     """1/(e^{y/2} + e^{-y/2}) at the normal Euler class y = su + tv."""
     return coh_eval_series(_inv_two_cosh(2 * spec.k), CohClass.from_uv(spec, s, t))
 
 
 def local_datum(params: FamilyParams):
-    """a = + integral over the base of the four-factor product (PLUS branch)."""
-    return coh_integrate(local_datum_integrand(params))
+    """a = + integral over the base of the four-factor product (PLUS branch).
+
+    The product is A-hat(B_c) times 1/(e^{y/2} + e^{-y/2}) at the normal
+    Euler class y = su + tv.
+    """
+    return coh_integrate(ahat_Bc(params.spec) * _sech_factor(params.spec, params.s, params.t))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +288,7 @@ def decompose_affine_in_t(k: int, c: int, s: int):
 
     The ring-route oracle for the univariate split that reports use.
     """
+    check_params(k, c, s)
     spec = RingSpec(k, c)
     ahat = ahat_Bc(spec)
     a1, a3, a5 = (coh_integrate(ahat * _sech_factor(spec, s, t)) for t in (1, 3, 5))
@@ -453,16 +414,6 @@ def relative_eta(params: FamilyParams) -> EtaReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_k(k: int):
-    # before any per-k cache, where 2.0 would read the entry of k = 2
-    if type(k) is not int:
-        raise InvalidParams(f"k must be an int, got {k!r}")
-    if k < 2:
-        raise InvalidParams(f"k must be >= 2, got {k}")
-    if k > MAX_K:
-        raise InvalidParams(f"k must be <= {MAX_K} (work limit), got {k}")
-
-
 def _a1_series(k: int, s_val):
     """Coefficient of u^{2k-1} in the purely univariate A1 generating series.
 
@@ -471,7 +422,6 @@ def _a1_series(k: int, s_val):
     truncated at 2k+2.  F = u/(e^{u/2}-e^{-u/2}) is built here by ps_exp and
     series division, not read from the closed form that reports use.
     """
-    _check_k(k)
     order = 2 * k + 2
     half = Rational(1, 2)
     w = ps_exp(half, order + 1, "u") - ps_exp(-half, order + 1, "u")
@@ -492,8 +442,7 @@ def _t_factor(half, order: int) -> PowerSeries:
 
 def a1_direct(k: int, s: int):
     """A1 as the u^{2k-1} coefficient of the univariate generating series."""
-    if s == 0 or s % 2 != 0:
-        raise InvalidParams(f"s must be a nonzero even integer, got s={s}")
+    check_params(k, s=s)
     return _a1_series(k, s)
 
 
@@ -504,9 +453,7 @@ def a1_residue(k: int, s: int):
     sinh(su/2)/(2cosh(su/2))^2 * 1/cosh(u/2), and reads the w^{2k-1}
     coefficient (the residue of w^{-2k} times that expression).
     """
-    if s == 0 or s % 2 != 0:
-        raise InvalidParams(f"s must be a nonzero even integer, got s={s}")
-    _check_k(k)
+    check_params(k, s=s)
     order = 2 * k + 2
     half = Rational(1, 2)
     e_half, e_minus_half = ps_exp(half, order, "u"), ps_exp(-half, order, "u")
@@ -526,7 +473,7 @@ def s2_closed_form(k: int):
 
     Equals (-1)^{k-1} * k / 2^{k+1} by the binomial series.
     """
-    _check_k(k)
+    check_params(k)
     order = 2 * k
     base = PowerSeries("w", (1, 0, Rational(1, 2)), order)
     inv = PowerSeries.constant("w", 1, order).divide(base * base)
@@ -545,7 +492,7 @@ def a1_poly_in_s(k: int) -> UniPoly:
     and d_G, so the coefficients are -(n+1) F_{2k-1-n} G_{n+1} over d_F * d_G.
     The polynomial depends on k alone and is built once per k.
     """
-    _check_k(k)
+    check_params(k)  # before the per-k cache, where 2.0 would read the entry of k = 2
     return _a1_poly(k)
 
 
@@ -561,21 +508,13 @@ def _a1_poly(k: int) -> UniPoly:
 def find_good_s(k: int, s_candidates) -> list[int]:
     """Filter even nonzero candidates to those with A1(s) != 0.
 
-    More than MAX_S_CANDIDATES candidates, or one that is not an int, is
-    invalid or is past PARAM_BOUND, raise before A1(s) is built.
+    More than MAX_S_CANDIDATES candidates, or one that the gate refuses,
+    raise before A1(s) is built.
     """
-    _check_k(k)
-    s_candidates = list(s_candidates)
-    if len(s_candidates) > MAX_S_CANDIDATES:
-        raise InvalidParams(
-            f"at most {MAX_S_CANDIDATES} s candidates (work limit), got {len(s_candidates)}"
-        )
+    check_params(k)
+    s_candidates = _at_most(MAX_S_CANDIDATES, "s candidates", s_candidates)
     for s in s_candidates:
-        if type(s) is not int:
-            raise InvalidParams(f"candidate s must be an int, got {s!r}")
-        check_param_bound("s", s)
-        if s == 0 or s % 2 != 0:
-            raise InvalidParams(f"candidate s={s} is not a nonzero even integer")
+        check_params(s=s)
     poly = a1_poly_in_s(k)
     return [s for s in s_candidates if poly(s)]
 
@@ -607,45 +546,51 @@ class ScanResult:
         return {"rows": rows, "distinct_count": self.distinct_count}
 
 
-def _t_count(t_values) -> int:
-    """len(t_values), also for a range longer than sys.maxsize, where len() overflows."""
-    if isinstance(t_values, range) and t_values:
-        return (t_values[-1] - t_values[0]) // t_values.step + 1
-    return len(t_values)
+def _at_most(limit: int, what: str, values):
+    """values, or a list of an iterator's items, refused past limit items.
+
+    A range is counted by arithmetic (len() overflows past sys.maxsize) and
+    any other sized collection by len(); an iterator is read with islice, at
+    most one item past the limit, so past it its length is not known.
+    """
+    if isinstance(values, range):
+        got = count = (values[-1] - values[0]) // values.step + 1 if values else 0
+    elif hasattr(values, "__len__"):
+        got = count = len(values)
+    else:
+        values = list(islice(values, limit + 1))
+        count, got = len(values), f"more than {limit}"
+    if count > limit:
+        raise WorkLimit(f"at most {limit} {what} (work limit), got {got}")
+    return values
 
 
 def family_scan(k: int, c: int, s: int, t_values) -> ScanResult:
     """Per-t eta reports plus the number of distinct eta values.
 
-    A k, c or s that breaks the standing assumptions, more than
-    MAX_T_VALUES t values, or any int t past PARAM_BOUND, raise before any
-    row.  Invalid t values, a t that is not an int among them, are reported
-    per entry and the scan continues; results are assembled in the
-    order of the sequence t_values.  (A0, A1) depend only on (k, c, s): at
-    the first valid t they are checked once, for every t, against the per-k
-    ring certificate, and each valid row is then a = A0 - A1*t.
+    A k, c or s that the gate refuses, more than MAX_T_VALUES t values, or
+    any int t past PARAM_BOUND, raise before any row.  Any other t that the
+    gate refuses, a t that is not an int among them, is reported on its own
+    row and the scan continues; results are assembled in the order of
+    t_values.  (A0, A1) depend only on (k, c, s): at the first valid t they
+    are checked once, for every t, against the per-k ring certificate, and
+    each valid row is then a = A0 - A1*t.
     """
-    FamilyParams(k, c, s, 1)  # t = 1 is always valid, so this checks k, c and s alone
-    count = _t_count(t_values)
-    if count > MAX_T_VALUES:
-        raise InvalidParams(
-            f"at most {MAX_T_VALUES} t values per scan (work limit), got {count}"
-        )
-    for t in t_values:
-        if type(t) is int:  # any other t is refused on its own row
-            check_param_bound("t", t)
-    entries = []
-    seen = set()
-    split = None
-    for t in t_values:
+    check_params(k, c, s)
+    rows = []
+    for t in _at_most(MAX_T_VALUES, "t values per scan", t_values):
         try:
-            params = FamilyParams(k=k, c=c, s=s, t=t)
+            rows.append(FamilyParams(k, c, s, t))
+        except WorkLimit:  # a t past PARAM_BOUND refuses the whole scan, like the count
+            raise
         except InvalidParams as exc:
-            entries.append(ScanEntry(t=t, error=str(exc)))
-            continue
-        if split is None:
-            split = _certified_split(k, c, s)
-        report = _report(params, *split)
-        seen.add(report.eta_rel)
-        entries.append(ScanEntry(t=t, report=report))
-    return ScanResult(entries=tuple(entries), distinct_count=len(seen))
+            rows.append(ScanEntry(t=t, error=str(exc)))
+    entries = []
+    split = None
+    for row in rows:
+        if isinstance(row, FamilyParams):
+            split = split or _certified_split(k, c, s)
+            row = ScanEntry(t=row.t, report=_report(row, *split))
+        entries.append(row)
+    distinct = {entry.report.eta_rel for entry in entries if entry.report}
+    return ScanResult(entries=tuple(entries), distinct_count=len(distinct))

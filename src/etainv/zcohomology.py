@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohring import CohClass, RingSpec
+from .cohring import CohClass, RingSpec, check_params
 
 __all__ = [
     "IntMatrix",
@@ -173,6 +173,7 @@ def gysin_step_matrix(spec: RingSpec, s: int, t: int, l: int) -> IntMatrix:
     e * (v*u^{l-1}) = s*v*u^l and e * u^l = t*v*u^l + s*u^{l+1}, giving
     [[s, t], [0, s]].  Valid for 1 <= l <= 2k-2.
     """
+    check_params(s=s, t=t)
     if not 1 <= l <= 2 * spec.k - 2:
         raise RangeError(f"l={l} outside [1, {2 * spec.k - 2}] for k={spec.k}")
     return IntMatrix.from_lists([[s, t], [0, s]])
@@ -206,9 +207,8 @@ def cohomology_Mbar(k: int, s: int) -> list[AbelianGroupDesc]:
     Gysin step cokernel, the same for every step), H^{4k-1} = H^{4k+1} = Z,
     everything else zero.
     """
-    spec = RingSpec(k, 1)  # checks 2 <= k <= MAX_K before s
-    if s == 0 or s % 2 != 0:
-        raise ValueError(f"s must be a nonzero even integer, got s={s}")
+    check_params(k, s=s)
+    spec = RingSpec(k, 1)
     zero = AbelianGroupDesc(0, ())
     z = AbelianGroupDesc(1, ())
     table: list[AbelianGroupDesc] = [zero] * (4 * k + 2)
@@ -230,6 +230,5 @@ def h4_M_order(s: int) -> int:
     against the Gysin cokernel; the factor 4 for the Z_2 quotient is quoted
     from the paper and unchecked.
     """
-    if s == 0 or s % 2 != 0:
-        raise ValueError(f"s must be a nonzero even integer, got s={s}")
+    check_params(s=s)
     return 4 * s * s

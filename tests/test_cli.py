@@ -1,15 +1,19 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import etainv
 from etainv import cli, invariants
@@ -190,7 +194,7 @@ def test_a1_poly_small_k_exit_1(capsys):
     code, out, err = run_cli(capsys, "a1-poly", "-k", "1")
     assert code == 1
     assert out == ""
-    assert err == "error: k must be >= 2, got 1\n"
+    assert err == "error: k must be >= 2 (standing assumption), got k=1\n"
 
 
 def test_find_s(capsys):
@@ -359,11 +363,11 @@ def _bound_err(name, value):
     (["compute", "-k", "2000", "-c", "1", "-s", "2", "-t", "1"], K_LIMIT + "k=2000\n"),
     (["family", "-k", "65", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "3"],
      K_LIMIT + "k=65\n"),
-    (["a1-poly", "-k", "65"], K_LIMIT + "65\n"),
-    (["a1-poly", "-k", "3000"], K_LIMIT + "3000\n"),
-    (["find-s", "-k", "65", "--s-candidates", "2"], K_LIMIT + "65\n"),
-    (["cohomology", "-k", "65", "-s", "2"], K_LIMIT + "65\n"),
-    (["cohomology", "-k", "100000", "-s", "2"], K_LIMIT + "100000\n"),
+    (["a1-poly", "-k", "65"], K_LIMIT + "k=65\n"),
+    (["a1-poly", "-k", "3000"], K_LIMIT + "k=3000\n"),
+    (["find-s", "-k", "65", "--s-candidates", "2"], K_LIMIT + "k=65\n"),
+    (["cohomology", "-k", "65", "-s", "2"], K_LIMIT + "k=65\n"),
+    (["cohomology", "-k", "100000", "-s", "2"], K_LIMIT + "k=100000\n"),
     # past both limits, k is reported first
     (["family", "-k", "65", "-c", "1", "-s", "2", "--t-min", "1", "--t-max", "2001"],
      K_LIMIT + "k=65\n"),
@@ -690,3 +694,109 @@ def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch, tmp_pa
         if here.exists():
             assert here.read_bytes() == fresh.read_bytes()
     assert code == 0 and out.count("PASS") == 10
+
+
+# -- the error contract, fuzzed ------------------------------------------------
+
+_ODD_TOKENS = st.sampled_from([
+    "x", "", "1.5", "0x10", "1e3", " 3", "٣", "-", "--", "9" * 40, "-" + "9" * 40,
+    str(BOUND), str(-BOUND), BIG_ODD, BIG_EVEN, "-" + BIG_EVEN,
+])
+
+
+def _ints(*usual):
+    """A usual value most often, then any small int, then a token that may be no int at all."""
+    usual = st.sampled_from(usual)
+    return st.one_of(usual, usual, st.integers(-9, 9).map(str), _ODD_TOKENS)
+
+
+# k stays mostly small, so the fuzzer adds a few seconds at most
+_KS = st.one_of(
+    st.sampled_from(["2", "3", "4"]), st.sampled_from(["1", "0", "-3", "64", "65", "x", str(BOUND)])
+)
+_FORMATS = st.sampled_from(["json", "csv", "text"] * 5 + ["xml", ""])
+_CANDIDATES = st.lists(_ints("2", "-4", "6"), max_size=4).map(",".join)
+_OUTPUT = object()  # stands for an --output path under tmp_path
+_FLAG = None  # an option that takes no value
+_OPTIONS = {
+    "compute": {"-k": _KS, "-c": _ints("1", "-3"), "-s": _ints("2", "-6"), "-t": _ints("3", "-1")},
+    "family": {"-k": _KS, "-c": _ints("1", "-3"), "-s": _ints("2", "-6"), "--t-min": _ints("1", "-3"),
+               "--t-max": _ints("9", "5"), "--t-step": _ints("2", "1", "3")},
+    "a1-poly": {"-k": _KS},
+    "find-s": {"-k": _KS, "--s-candidates": _CANDIDATES},
+    "cohomology": {"-k": _KS, "-s": _ints("2", "-6")},
+    "verify": {"--suite": st.sampled_from(["paper", "other"])},
+}
+for _command in ("compute", "family", "a1-poly", "find-s", "cohomology"):
+    _OPTIONS[_command].update({"--format": _FORMATS, "--output": _OUTPUT})
+for _command in ("compute", "family"):
+    _OPTIONS[_command]["--approx"] = _FLAG
+
+
+# hypothesis favours the ends of a list, so the rare shapes sit inside it
+_SHAPES = st.sampled_from(["given"] * 20 + ["left out"] + ["given"] * 20 + ["without its value", "given"])
+
+
+@st.composite
+def _argv(draw, tmp_path):
+    """A command and its options in any order, some left out, some without their value."""
+    # verify runs the whole suite, so it is drawn less often
+    command = draw(st.sampled_from(["compute", "family", "a1-poly", "find-s", "cohomology"] * 3
+                                   + ["verify"]))
+    options = _OPTIONS[command]
+    argv = [command]
+    for option in draw(st.permutations(sorted(options))):
+        shape = draw(_SHAPES)
+        if shape == "left out":
+            continue
+        argv.append(option)
+        value = options[option]
+        if value is _FLAG or shape == "without its value":
+            continue
+        if value is _OUTPUT:
+            # a writable file, a directory, a missing directory, a path through a file
+            name = draw(st.sampled_from(["out", ".", "missing/out", "file/out"]))
+            argv.append(str(tmp_path / name))
+        else:
+            argv.append(draw(value))
+    extra = draw(st.sampled_from([[]] * 15 + [["stray"], ["--order"], ["-x"], ["-k"], ["-h"]]))
+    return argv + extra
+
+
+def _hang(signum, frame):
+    # not an OSError or ValueError, which main would turn into exit 1
+    pytest.fail("one fuzzed argv ran for 20 s")
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_argv_keeps_the_error_contract(tmp_path, data):
+    # exit 0, 1 or 2 and never a traceback; past parsing a failure is one
+    # stderr line, and a usage error keeps argparse's usage lines before its one error line
+    (tmp_path / "file").touch()
+    argv = data.draw(_argv(tmp_path))
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(20)  # the deadline above fails a slow example; this fails one that never ends
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code, usage = main(argv), False
+            except SystemExit as exc:
+                code, usage = exc.code, True
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 0:
+        assert err == "", argv
+    elif usage:
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: etainv"), (argv, err)
+        assert re.match(r"etainv( \S+)?: error: ", lines[-1]), (argv, err)
+        assert sum(": error: " in line for line in lines) == 1, (argv, err)
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)

@@ -1,6 +1,7 @@
 """Rationals and dense univariate polynomials."""
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 import pytest
@@ -72,7 +73,7 @@ def test_gcd_sign_convention():
 def test_unipoly_basics():
     p = UniPoly("s", [1, -1, 3])
     assert p.degree() == 2
-    assert p[0] == 1 and p[1] == -1 and p[2] == 3
+    assert p.coeffs == (1, -1, 3)
     assert p(Rational(2)) == 11
     assert p(Rational(1, 2)) == Rational(5, 4)
 
@@ -100,8 +101,7 @@ def test_unipoly_immutable():
 
 def _add(a, b):
     # UniPoly has no + of its own; distributivity is checked coefficientwise
-    n = max(len(a.nums), len(b.nums))
-    return _poly([a[i] + b[i] for i in range(n)])
+    return _poly([x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
 
 
 def _canonical(p):

@@ -11,6 +11,7 @@ from etainv import cohring
 from etainv.cohring import (
     CohClass,
     InsufficientOrder,
+    InvalidParams,
     NonNilpotentArgument,
     RingSpec,
     SpecMismatch,
@@ -22,10 +23,13 @@ from etainv.series import PowerSeries, ps_exp
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match=r"^k must be >= 2 \(standing assumption\), got k=1$"):
         RingSpec(1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match=r"^c must be odd \(standing assumption\), got c=2$"):
         RingSpec(2, 2)
+    # c is held to the same work limit as in FamilyParams
+    with pytest.raises(InvalidParams, match=r"^\|c\| must be < 2\^63 \(work limit\), got a 81-bit c$"):
+        RingSpec(2, 2**80 + 1)
 
 
 @pytest.mark.parametrize(
@@ -34,7 +38,7 @@ def test_spec_validation():
 def test_spec_refuses_a_k_or_c_that_is_not_an_int(k, c):
     # RingSpec(2, 1.0) used to be accepted, and u**4 then failed inside gcd
     name, value = ("k", k) if type(k) is not int else ("c", c)
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+    with pytest.raises(InvalidParams, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
         RingSpec(k, c)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from etainv import invariants
-from etainv.cohring import CohClass, RingSpec, coh_eval_series, coh_integrate
+from etainv.cohring import MAX_K, CohClass, RingSpec, coh_eval_series, coh_integrate
 from etainv.coeffcore import Rational, UniPoly
 from etainv.invariants import (
     AffinityViolation,
@@ -18,11 +18,11 @@ from etainv.invariants import (
     a1_direct,
     a1_poly_in_s,
     a1_residue,
+    ahat_Bc,
     decompose_affine_in_t,
     family_scan,
     find_good_s,
     local_datum,
-    local_datum_integrand,
     relative_eta,
     s2_closed_form,
 )
@@ -58,7 +58,9 @@ def test_negative_parameters_allowed():
 
 
 def test_integrand_frozen_normal_form():
-    got = local_datum_integrand(FamilyParams(2, 1, 2, 1))
+    # the four-factor product that local_datum integrates, at (k, c, s, t) = (2, 1, 2, 1)
+    spec = RingSpec(2, 1)
+    got = ahat_Bc(spec) * invariants._sech_factor(spec, 2, 1)
     expected = CohClass(
         RingSpec(2, 1),
         [Rational(1, 2), 0, Rational(-1, 3), 0],
@@ -190,13 +192,13 @@ def test_warm_request_raises_no_series_power(cold_caches, monkeypatch):
 
 
 def test_ring_certificate_builds_for_every_k(cold_caches):
-    for k in range(2, invariants.MAX_K + 1):
+    for k in range(2, MAX_K + 1):
         Y, Z = invariants._ring_moments(k)
         assert isinstance(Y, UniPoly) and isinstance(Z, UniPoly), k
         assert (Y.degree(), Z.degree()) == (2 * k, 2 * k - 1), k
         # Y = -s A1(s)/(2k) is even and Z = -A1(s) is odd
         assert not any(Y.nums[1::2]) and not any(Z.nums[0::2]), k
-    assert invariants._ring_moments.cache_info().misses == invariants.MAX_K - 1
+    assert invariants._ring_moments.cache_info().misses == MAX_K - 1
 
 
 def _shift_moments(which, shift):
@@ -290,8 +292,8 @@ def test_non_int_s_candidate_is_refused_before_a1(monkeypatch):
         raise AssertionError("A1(s) was built for a non-int candidate")
 
     monkeypatch.setattr(invariants, "a1_poly_in_s", refuse)
-    for bad in (2.0, True, "2"):
-        message = f"candidate s must be an int, got {bad!r}"
+    for bad in (2.0, True, "2", None):
+        message = f"s must be an int, got {bad!r}"
         with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
             find_good_s(2, [2, bad])
 
@@ -621,11 +623,11 @@ def test_k_limit():
         s2_closed_form,
         lambda k: find_good_s(k, [2]),
     ):
-        with pytest.raises(InvalidParams, match=r"k must be <= 64 \(work limit\), got 65"):
+        with pytest.raises(InvalidParams, match=r"^k must be <= 64 \(work limit\), got k=65$"):
             route(65)
-    with pytest.raises(ValueError, match=r"k must be <= 64 \(work limit\), got 65"):
+    with pytest.raises(InvalidParams, match=r"^k must be <= 64 \(work limit\), got k=65$"):
         RingSpec(65, 1)
-    with pytest.raises(ValueError, match=r"k must be <= 64 \(work limit\), got 65"):
+    with pytest.raises(InvalidParams, match=r"^k must be <= 64 \(work limit\), got k=65$"):
         cohomology_Mbar(65, 2)
 
 
@@ -650,6 +652,15 @@ def test_family_scan_t_count_limit(monkeypatch):
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-7, 7).filter(bool))
 def test_t_count_is_len_of_a_range(start, stop, step):
+    # a range is counted by arithmetic, a list by len() and an iterator by islice,
+    # all three as len() would, on both sides of the limit
     t_values = range(start, stop, step)
-    assert invariants._t_count(t_values) == len(t_values)
-    assert invariants._t_count(list(t_values)) == len(t_values)
+    limit = 10
+    for values in (t_values, list(t_values), iter(t_values)):
+        if len(t_values) <= limit:
+            assert list(invariants._at_most(limit, "t values", values)) == list(t_values)
+        else:
+            got = len(t_values) if hasattr(values, "__len__") else "more than 10"
+            message = f"^at most 10 t values \\(work limit\\), got {got}$"
+            with pytest.raises(InvalidParams, match=message):
+                invariants._at_most(limit, "t values", values)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etainv import zcohomology
-from etainv.cohring import RingSpec
+from etainv.cohring import InvalidParams, RingSpec
 from etainv.zcohomology import (
     AbelianGroupDesc,
     IntMatrix,
@@ -126,7 +126,7 @@ def test_gysin_step_matrix_shape():
     with pytest.raises(RangeError):
         gysin_step_matrix(RingSpec(2, 1), 2, 3, 3)
     # int() would truncate s = 1/2 to [[0, 1], [0, 0]], with SNF (1, 0)
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(InvalidParams, match=r"^s must be an int, got Fraction\(1, 2\)$"):
         gysin_step_matrix(RingSpec(2, 1), Fraction(1, 2), 1, 1)
 
 
@@ -175,20 +175,20 @@ def test_cohomology_table_takes_one_snf(monkeypatch, k):
 
 
 def test_cohomology_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         cohomology_Mbar(1, 2)
-    # RingSpec checks k, before s is looked at
-    with pytest.raises(ValueError, match=r"^k must be >= 2, got 1$"):
+    # k is checked before s
+    with pytest.raises(InvalidParams, match=r"^k must be >= 2 \(standing assumption\), got k=1$"):
         cohomology_Mbar(1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         cohomology_Mbar(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         cohomology_Mbar(2, 0)
 
 
 def test_h4_order_validation():
     assert h4_M_order(-2) == 16
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         h4_M_order(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         h4_M_order(0)
