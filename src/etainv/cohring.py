@@ -104,7 +104,7 @@ def check_params(k=2, c=1, s=2, t=1):
         raise InvalidParams(f"k must be >= 2 (standing assumption), got k={k}")
     if k > MAX_K:
         raise WorkLimit(f"k must be <= {MAX_K} (work limit), got k={k}")
-    if max(abs(c), abs(s), abs(t)) >= PARAM_BOUND:
+    if abs(c) | abs(s) | abs(t) >= PARAM_BOUND:  # the or reaches 2^63 when one of them does
         name, value = next((n, v) for n, v in zip("cst", (c, s, t)) if abs(v) >= PARAM_BOUND)
         raise WorkLimit(
             f"|{name}| must be < 2^63 (work limit), got a {abs(value).bit_length()}-bit {name}"
