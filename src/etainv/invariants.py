@@ -144,7 +144,7 @@ class EtaReport:
     def to_dict(self, approx: bool = False) -> dict:
         """Exact 'num/den' fields; approx adds float renderings of a_value and eta_rel.
 
-        A value outside float range under approx raises InvalidParams.
+        A value outside float range under approx raises ValueError.
         """
         d = {
             "k": self.params.k,
@@ -162,7 +162,7 @@ class EtaReport:
                 try:
                     d[f"{name}_approx"] = float(getattr(self, name))
                 except OverflowError:
-                    raise InvalidParams(
+                    raise ValueError(
                         f"--approx: {name} is outside float range; omit --approx for the exact value"
                     ) from None
         return d
@@ -290,13 +290,21 @@ def decompose_affine_in_t(k: int, c: int, s: int):
     """
     check_params(k, c, s)
     spec = RingSpec(k, c)
-    ahat = ahat_Bc(spec)
+    return _probe_split(spec, ahat_Bc(spec), s)
+
+
+def _probe_split(spec: RingSpec, ahat: CohClass, s: int):
+    """(A0, A1) from the ring integrals of ahat times G(su + tv) at t = 1, 3, checked at t = 5.
+
+    ahat is ahat_Bc(spec), which does not depend on s, so a caller that probes
+    several s builds it once.
+    """
     a1, a3, a5 = (coh_integrate(ahat * _sech_factor(spec, s, t)) for t in (1, 3, 5))
     A1 = (a1 - a3) / 2
     A0 = a1 + A1
     if a5 != A0 - A1 * 5:
         raise AffinityViolation(
-            f"probes t=1,3,5 not collinear for (k={k}, c={c}, s={s}): {a1}, {a3}, {a5}"
+            f"probes t=1,3,5 not collinear for (k={spec.k}, c={spec.c}, s={s}): {a1}, {a3}, {a5}"
         )
     return A0, A1
 
@@ -418,17 +426,22 @@ def _a1_series(k: int, s_val):
     """Coefficient of u^{2k-1} in the purely univariate A1 generating series.
 
     The series is (u/(e^{u/2}-e^{-u/2}))^{2k} * S/(2*C^2) with
-    S = e^{su/2}-e^{-su/2}, C = e^{su/2}+e^{-su/2}, at a rational s_val,
-    truncated at 2k+2.  F = u/(e^{u/2}-e^{-u/2}) is built here by ps_exp and
-    series division, not read from the closed form that reports use.
+    S = e^{su/2}-e^{-su/2}, C = e^{su/2}+e^{-su/2}, at a rational s_val.
+    Every series is truncated at u^{2k-1}, the coefficient read; truncated
+    products, divisions and powers are exact up to their order.  That
+    coefficient of the product F^{2k} T is one integer dot product of the two
+    numerator tuples over f.den * t.den.  F = u/(e^{u/2}-e^{-u/2}) is built
+    here by ps_exp and series division, not read from the closed form that
+    reports use.
     """
-    order = 2 * k + 2
+    order = 2 * k - 1
     half = Rational(1, 2)
     w = ps_exp(half, order + 1, "u") - ps_exp(-half, order + 1, "u")
     # F = 1/(w/u), and w/u is a unit
     shifted = PowerSeries._canonical("u", order, w.den, w.nums[1:])
-    ahat = PowerSeries.constant("u", 1, order).divide(shifted)
-    return (ahat ** (2 * k) * _t_factor(s_val * half, order)).coeff(2 * k - 1)
+    f = PowerSeries.constant("u", 1, order).divide(shifted) ** (2 * k)
+    t = _t_factor(s_val * half, order)
+    return Rational(sum(f.nums[i] * t.nums[order - i] for i in range(order + 1)), f.den * t.den)
 
 
 def _t_factor(half, order: int) -> PowerSeries:
@@ -451,10 +464,12 @@ def a1_residue(k: int, s: int):
 
     Computes the compositional inverse u(w), substitutes into
     sinh(su/2)/(2cosh(su/2))^2 * 1/cosh(u/2), and reads the w^{2k-1}
-    coefficient (the residue of w^{-2k} times that expression).
+    coefficient (the residue of w^{-2k} times that expression).  Every series
+    is truncated at that order, 2k-1: reversion and composition are exact up
+    to it.
     """
     check_params(k, s=s)
-    order = 2 * k + 2
+    order = 2 * k - 1
     half = Rational(1, 2)
     e_half, e_minus_half = ps_exp(half, order, "u"), ps_exp(-half, order, "u")
     u_of_w = (e_half - e_minus_half).revert()
@@ -471,10 +486,11 @@ def a1_residue(k: int, s: int):
 def s2_closed_form(k: int):
     """A1 at s = 2: the w^{2k-2} coefficient of (1/4)/(1 + w^2/2)^2.
 
-    Equals (-1)^{k-1} * k / 2^{k+1} by the binomial series.
+    Equals (-1)^{k-1} * k / 2^{k+1} by the binomial series.  The series is
+    truncated at w^{2k-2}, the coefficient read.
     """
     check_params(k)
-    order = 2 * k
+    order = 2 * k - 2
     base = PowerSeries("w", (1, 0, Rational(1, 2)), order)
     inv = PowerSeries.constant("w", 1, order).divide(base * base)
     return inv.scale(Rational(1, 4)).coeff(2 * k - 2)

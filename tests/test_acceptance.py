@@ -192,3 +192,33 @@ def test_gysin_check_catches_a_wrong_ring_route(monkeypatch, capsys):
         "FAIL  gysin_cokernel_orders: Gysin matrix at (k=2, s=2, t=1, l=1): "
         "[[2, 1], [0, 2]], but [[2, 0], [1, 2]] via the ring"
     )
+
+
+def _counted(monkeypatch, name):
+    """Wrap the name verify imported; the returned list grows by one per call."""
+    calls, original = [], getattr(verify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_a1_three_way_builds_each_ahat_class_once(monkeypatch):
+    # four (k, c): each class is probed at the three s, not rebuilt for each
+    calls = _counted(monkeypatch, "ahat_Bc")
+    assert verify._check_a1_three_way()[0] is True
+    assert sorted((spec.k, spec.c) for spec, in calls) == [(2, 1), (2, 3), (3, 1), (3, 3)]
+
+
+def test_gysin_check_runs_one_snf_per_distinct_matrix(monkeypatch):
+    # [[s, t], [0, s]] for the four (s, t); every (k, s, t, l) still compares the matrices
+    snfs = _counted(monkeypatch, "snf")
+    via_ring = _counted(monkeypatch, "gysin_step_matrix_via_ring")
+    assert verify._check_gysin_snf()[0] is True
+    assert sorted(m.to_lists() for m, in snfs) == [
+        [[2, 1], [0, 2]], [[2, 3], [0, 2]], [[4, 3], [0, 4]], [[6, 5], [0, 6]]
+    ]
+    assert len(via_ring) == 4 * sum(2 * k - 2 for k in (2, 3, 4))

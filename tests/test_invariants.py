@@ -118,11 +118,13 @@ def test_report_to_dict_exact_and_approx():
     (Rational(2**1030, 3), "a_value"),  # both out of range; a_value is rendered first
     (Rational(2**1023), "eta_rel"),  # a_value fits, eta_rel = -2^1024 does not
 ])
-def test_report_approx_outside_float_range_is_invalid(a_value, name):
+def test_report_approx_outside_float_range_is_a_value_error(a_value, name):
+    # no parameter is invalid there: a plain ValueError, which the CLI still maps to exit 1
     report = EtaReport(FamilyParams(2, 1, 2, 3), a_value, -2 * a_value, Rational(0), Rational(0))
     assert report.to_dict()["a_value"] == f"{a_value.numerator}/{a_value.denominator}"
-    with pytest.raises(InvalidParams, match=rf"^--approx: {name} is outside float range"):
+    with pytest.raises(ValueError, match=rf"^--approx: {name} is outside float range") as info:
         report.to_dict(approx=True)
+    assert not isinstance(info.value, InvalidParams)
 
 
 def test_eta_rational_in_general():
@@ -375,8 +377,19 @@ def test_a1_residue_matches_direct():
 
 @pytest.mark.parametrize("k", [16, 32])
 def test_a1_residue_matches_direct_at_large_order(k):
-    # reversion and composition at order 2k + 2, where the integers are largest
+    # reversion and composition at order 2k - 1, where the integers are largest
     assert a1_residue(k, 6) == a1_direct(k, 6)
+
+
+def test_oracles_are_exact_at_the_order_they_read():
+    # a1_direct and a1_residue truncate every series at u^{2k-1} and
+    # s2_closed_form at w^{2k-2}, the coefficient each reads: one order less
+    # loses a term of that coefficient
+    for k in range(2, 17):
+        poly = a1_poly_in_s(k)
+        for s in (2, -4, 6, 18, 1022):
+            assert a1_direct(k, s) == a1_residue(k, s) == poly(s), (k, s)
+        assert s2_closed_form(k) == Rational((-1) ** (k - 1) * k, 2 ** (k + 1)), k
 
 
 def test_s2_closed_form_extends():
