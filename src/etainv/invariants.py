@@ -31,9 +31,10 @@ Z = -A1(s), or AffinityViolation is raised.  The certificate is the pair of
 UniPoly objects Y and Z (:func:`_ring_moments`).  Each request still
 compares: c Y(s) must equal A0 and Z(s) must equal -A1, with no ring work.
 relative_eta and family_scan share this check; each row is then
-a = A0 - A1*t.  decompose_affine_in_t (ring probes t = 1, 3, 5) and
-local_datum (the full four-factor product) stay as the oracles that verify
-and the tests compare against.
+a = A0 - A1*t.  decompose_affine_in_t (ring probes t = 1, 3, 5, through
+_probe_split) and local_datum (the full four-factor product) stay as the
+oracles that verify and the tests compare against; verify builds each A-hat
+class once per (k, c) and probes it at every s through _probe_split.
 
 Every series on the report path is truncated at u^{2k}: the ring has top
 class u^{2k-1}v in degree 4k and u^m = 0 there for m > 2k, so no higher
