@@ -18,7 +18,6 @@ from .invariants import (
     find_good_s,
     local_datum,
     relative_eta,
-    s2_closed_form,
 )
 from .series import PowerSeries, ps_exp
 from .zcohomology import cohomology_Mbar, gysin_step_matrix, h4_M_order, snf
@@ -43,7 +42,6 @@ __all__ = [
     "find_good_s",
     "local_datum",
     "relative_eta",
-    "s2_closed_form",
     "PowerSeries",
     "ps_exp",
     "cohomology_Mbar",

@@ -12,8 +12,7 @@ terms that can survive reduction: P1*P2 up to u^{2k} (which folds into
 c*u^{2k-1}*v) and P1*Q2 + Q1*P2 up to u^{2k-1}*v.  It walks the rows
 (P1[i], Q1[i]) once and adds each nonzero row into both accumulators in
 one pass over the pairs (P2[j], Q2[j]).  No rational is built per
-coefficient; the rational coefficients p and q are read on demand.  ``**``
-is the package's one binary exponentiation.
+coefficient.  ``**`` is the package's one binary exponentiation.
 
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f at a degree-2 class a*u + b*v in closed form, as
@@ -137,8 +136,7 @@ class CohClass:
 
     P and Q are tuples of 2k integers indexed by the u-degree, den > 0 and
     gcd(den, *P, *Q) == 1, so the form is canonical and equality compares
-    integers.  p and q give the coefficients as rationals, built on demand.
-    Immutable.
+    integers.  Immutable.
     """
 
     __slots__ = ("spec", "den", "P", "Q")
@@ -147,7 +145,7 @@ class CohClass:
         n = 2 * spec.k
         p, q = list(p), list(q)
         if len(p) > n or len(q) > n:
-            raise ValueError("coefficients exceed normal-form degree bound; reduce first")
+            raise ValueError(f"at most 2k = {n} coefficients per part, got {len(p)} and {len(q)}")
         den = 1  # ints are their own numerators; rationals go over the lcm of their denominators
         if not all(type(c) is int for c in p + q):
             p, q = [Rational(c) for c in p], [Rational(c) for c in q]
@@ -179,16 +177,6 @@ class CohClass:
     def __setattr__(self, name, value):
         raise AttributeError("CohClass is immutable")
 
-    @property
-    def p(self) -> tuple:
-        """The u-part coefficients as Rationals."""
-        return tuple(Rational(x, self.den) for x in self.P)
-
-    @property
-    def q(self) -> tuple:
-        """The v-part coefficients as Rationals."""
-        return tuple(Rational(x, self.den) for x in self.Q)
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -208,28 +196,10 @@ class CohClass:
         """The degree-2 class cu*u + cv*v."""
         return cls(spec, (0, cu), (cv,))
 
-    @classmethod
-    def reduce(cls, spec: RingSpec, p_raw, q_raw) -> "CohClass":
-        """Reduce arbitrary-degree (p, q) by v^2 = 0, u^{2k} = c*u^{2k-1}*v.
-
-        Consequently u^{2k}*v = 0 and u^m = 0 for m > 2k.
-        """
-        n = 2 * spec.k
-        p = list(p_raw)[: n + 1]
-        q = list(q_raw)[:n]
-        q += [0] * (n - len(q))
-        # only u^{2k} survives reduction into the v-part
-        if len(p) > n:
-            q[n - 1] = q[n - 1] + spec.c * p.pop()
-        return cls(spec, p, q)
-
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.P) and not any(self.Q)
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.P) or any(self.Q)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohClass):
@@ -332,13 +302,12 @@ class CohClass:
         return result
 
     def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.p):
-            if c:
-                terms.append(f"({rat_to_str(c)})u^{i}")
-        for i, c in enumerate(self.q):
-            if c:
-                terms.append(f"({rat_to_str(c)})u^{i}v")
+        terms = [
+            f"({rat_to_str(Rational(x, self.den))})u^{i}{part}"
+            for part, xs in (("", self.P), ("v", self.Q))
+            for i, x in enumerate(xs)
+            if x
+        ]
         return "CohClass(" + (" + ".join(terms) or "0") + ")"
 
 

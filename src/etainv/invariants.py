@@ -92,7 +92,6 @@ __all__ = [
     "decompose_affine_in_t",
     "a1_direct",
     "a1_residue",
-    "s2_closed_form",
     "a1_poly_in_s",
     "find_good_s",
     "family_scan",
@@ -482,19 +481,6 @@ def a1_residue(k: int, s: int):
     cosh_u2 = (e_half + e_minus_half).scale(half)
     integrand_u = big_s.divide((big_c * big_c).scale(2)).divide(cosh_u2)
     return integrand_u.compose(u_of_w).coeff(2 * k - 1)
-
-
-def s2_closed_form(k: int):
-    """A1 at s = 2: the w^{2k-2} coefficient of (1/4)/(1 + w^2/2)^2.
-
-    Equals (-1)^{k-1} * k / 2^{k+1} by the binomial series.  The series is
-    truncated at w^{2k-2}, the coefficient read.
-    """
-    check_params(k)
-    order = 2 * k - 2
-    base = PowerSeries("w", (1, 0, Rational(1, 2)), order)
-    inv = PowerSeries.constant("w", 1, order).divide(base * base)
-    return inv.scale(Rational(1, 4)).coeff(2 * k - 2)
 
 
 def a1_poly_in_s(k: int) -> UniPoly:

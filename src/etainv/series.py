@@ -7,6 +7,8 @@ gcd(den, *nums) == 1, so equal series have equal integers.  The constructor
 takes ``int`` or ``Fraction`` coefficients; ``coeffs`` and :meth:`coeff`
 build ``Fraction``s only when asked.  No coefficient beyond the truncation is
 ever reported, and mixed-order arithmetic truncates to the minimum order.
+``+``, ``-`` and ``*`` take two series; :meth:`PowerSeries.scale` is the one
+operation with a rational.
 
 Every operation runs on the integers and reduces its result by one gcd
 (:meth:`PowerSeries._canonical`): a product is one integer convolution
@@ -91,10 +93,8 @@ class PowerSeries:
 
     __slots__ = ("variable", "order", "den", "nums")
 
-    def __init__(self, variable: str, coeffs, order: int | None = None):
+    def __init__(self, variable: str, coeffs, order: int):
         cs = list(coeffs)
-        if order is None:
-            order = len(cs) - 1
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         cs = cs[: order + 1]
@@ -170,39 +170,27 @@ class PowerSeries:
 
     def __add__(self, other):
         if not isinstance(other, PowerSeries):
-            return self.shift_const(other)
+            return NotImplemented
         n = self._align(other)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         nums = [a * fa + b * fb for a, b in zip(self.nums[: n + 1], other.nums)]
         return PowerSeries._canonical(self.variable, n, den, nums)
 
-    __radd__ = __add__
-
-    def shift_const(self, c) -> "PowerSeries":
-        """self + c for a rational c."""
-        den = lcm(self.den, c.denominator)
-        scale = den // self.den
-        nums = [x * scale for x in self.nums]
-        nums[0] += c.numerator * (den // c.denominator)
-        return PowerSeries._canonical(self.variable, self.order, den, nums)
-
     def __neg__(self):
         return PowerSeries._canonical(self.variable, self.order, self.den, [-x for x in self.nums])
 
     def __sub__(self, other):
         if not isinstance(other, PowerSeries):
-            return self.shift_const(-other)
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
-            return self.scale(other)
+            return NotImplemented
         n = self._align(other)
         out = _int_convolve(n + 1, _terms(self.nums[: n + 1]), _terms(other.nums[: n + 1]))
         return PowerSeries._canonical(self.variable, n, self.den * other.den, out)
-
-    __rmul__ = __mul__
 
     def scale(self, c) -> "PowerSeries":
         """c * self for a rational c."""
@@ -319,7 +307,7 @@ class PowerSeries:
         return PowerSeries._canonical(self.variable, n, den, nums)
 
     def __repr__(self):
-        return f"PowerSeries({self.variable!r}, {list(self.coeffs)!r})"
+        return f"PowerSeries({self.variable!r}, {list(self.coeffs)!r}, {self.order})"
 
 
 def ps_exp(a, order: int, variable: str = "x") -> PowerSeries:

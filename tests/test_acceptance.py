@@ -55,7 +55,7 @@ def test_series_compose_and_revert_both_ways():
 
 def _degrees(x):
     """The cohomological degrees of x's nonzero components: u^i in 2i, u^i*v in 2i + 2."""
-    return {2 * i for i, c in enumerate(x.p) if c} | {2 * i + 2 for i, c in enumerate(x.q) if c}
+    return {2 * i for i, c in enumerate(x.P) if c} | {2 * i + 2 for i, c in enumerate(x.Q) if c}
 
 
 def test_ring_engine_randomized_with_grading():
@@ -87,19 +87,19 @@ def test_ring_engine_randomized_with_grading():
 
 
 def test_ring_engine_catches_a_product_without_the_fold(monkeypatch):
-    # the reference product over Q, with u^{2k} dropped instead of folded
-    # into c*u^{2k-1}*v
+    # the reference product of the numerators over den1*den2, with u^{2k}
+    # dropped instead of folded into c*u^{2k-1}*v
     def unfolded(self, other):
         if not isinstance(other, CohClass):
             return self.scale(other)
         n = 2 * self.spec.k
-        p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+        p1, q1, p2, q2 = self.P, self.Q, other.P, other.Q
         p = [sum(p1[i] * p2[m - i] for i in range(m + 1)) for m in range(n)]
         q = [
             sum(p1[i] * q2[m - i] + q1[i] * p2[m - i] for i in range(m + 1))
             for m in range(n)
         ]
-        return CohClass(self.spec, p, q)
+        return CohClass(self.spec, p, q).scale(Rational(1, self.den * other.den))
 
     assert _check_ring_engine()[0]
     monkeypatch.setattr(CohClass, "__mul__", unfolded)
@@ -169,7 +169,7 @@ def test_ring_engine_catches_a_noncommutative_product(monkeypatch):
         xy = product(self, other)
         if not isinstance(other, CohClass):
             return xy
-        skew = self.q[0] * other.p[1] - self.p[1] * other.q[0]
+        skew = Rational(self.Q[0] * other.P[1] - self.P[1] * other.Q[0], self.den * other.den)
         return xy + CohClass(self.spec, (), [0] * (2 * self.spec.k - 1) + [skew])
 
     spec = RingSpec(2, 1)
@@ -191,6 +191,15 @@ def test_gysin_check_catches_a_wrong_ring_route(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[0] == (
         "FAIL  gysin_cokernel_orders: Gysin matrix at (k=2, s=2, t=1, l=1): "
         "[[2, 1], [0, 2]], but [[2, 0], [1, 2]] via the ring"
+    )
+
+
+def test_gysin_check_catches_a_wrong_snf(monkeypatch, capsys):
+    # a diagonal that is not (1, s^2) fails at the first (s, t)
+    monkeypatch.setattr(verify, "snf", lambda m: (1, 2))
+    assert not verify.run_paper_suite()
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "FAIL  gysin_cokernel_orders: snf(s=2, t=1) = (1, 2)"
     )
 
 

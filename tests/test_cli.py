@@ -2,9 +2,11 @@
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import signal
 import subprocess
@@ -526,6 +528,15 @@ def test_verify_exit_0(capsys):
     assert code == 0
     assert out == VERIFY_PAPER_STDOUT
     assert len(out.splitlines()) == 10
+
+
+def test_every_name_in_each_all_resolves():
+    # a stale __all__ entry would break `from <module> import *`
+    modules = ["etainv"] + [f"etainv.{m.name}" for m in pkgutil.iter_modules(etainv.__path__)]
+    for name in modules:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (name, missing)
 
 
 # the console script's entry point is etainv.cli:main

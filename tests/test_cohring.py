@@ -62,10 +62,18 @@ def test_normal_form_is_canonical():
     assert hash(a) == hash(b)
 
 
-def test_reduce_overflow():
+def test_constructor_refuses_more_than_2k_coefficients_per_part():
     spec = RingSpec(2, 3)
-    raw = CohClass.reduce(spec, [0, 0, 0, 0, 1], [])
-    assert raw == (CohClass.u(spec) ** 3 * CohClass.v(spec)).scale(3)
+    with pytest.raises(ValueError, match=r"^at most 2k = 4 coefficients per part, got 5 and 0$"):
+        CohClass(spec, [0, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match=r"^at most 2k = 4 coefficients per part, got 1 and 5$"):
+        CohClass(spec, [1], [0, 0, 0, 0, Fraction(1, 2)])
+    assert CohClass(spec, [0] * 4, [0, 0, 0, 1]) == CohClass.u(spec) ** 3 * CohClass.v(spec)
+
+
+def _rationals(x):
+    """The u- and v-part coefficients of x as Fractions."""
+    return [Fraction(n, x.den) for n in x.P], [Fraction(n, x.den) for n in x.Q]
 
 
 def _chern_total(spec):
@@ -86,14 +94,14 @@ def test_chern_degree2_part():
     # degree-2 part is 2k*u + (2-c)*v
     for k, c in ((2, 1), (2, 3), (3, 5)):
         spec = RingSpec(k, c)
-        total = _chern_total(spec)
-        part = CohClass.from_uv(spec, total.p[1], total.q[0])
+        p, q = _rationals(_chern_total(spec))
+        part = CohClass.from_uv(spec, p[1], q[0])
         assert part == CohClass(spec, [0, 2 * k], [2 - c])
 
 
 def _degrees(x):
     """The cohomological degrees of x's nonzero components: u^i in 2i, u^i*v in 2i + 2."""
-    return {2 * i for i, c in enumerate(x.p) if c} | {2 * i + 2 for i, c in enumerate(x.q) if c}
+    return {2 * i for i, c in enumerate(x.P) if c} | {2 * i + 2 for i, c in enumerate(x.Q) if c}
 
 
 def test_from_uv_and_graded_parts():
@@ -103,8 +111,9 @@ def test_from_uv_and_graded_parts():
     assert _degrees(e * e) == {4}
     mixed = e + CohClass.one(spec)
     assert _degrees(mixed) == {0, 2}
-    # the degree-0 and degree-2 parts, read from p and q, add back up to the class
-    assert CohClass(spec, mixed.p[:1]) + CohClass.from_uv(spec, mixed.p[1], mixed.q[0]) == mixed
+    # the degree-0 and degree-2 parts, read from P, Q and den, add back up to the class
+    p, q = _rationals(mixed)
+    assert CohClass(spec, p[:1]) + CohClass.from_uv(spec, p[1], q[0]) == mixed
 
 
 def test_spec_mismatch():
@@ -173,10 +182,18 @@ def test_eval_series_guards():
             coh_eval_series(ps_exp(Rational(1), 10), x)
 
 
+def test_repr_prints_each_nonzero_coefficient_in_lowest_terms():
+    spec = RingSpec(2, 1)
+    mixed = CohClass(spec, [Fraction(1, 2), 0, -3], [0, Fraction(-2, 3), 0, 5])
+    assert repr(mixed) == "CohClass((1/2)u^0 + (-3/1)u^2 + (-2/3)u^1v + (5/1)u^3v)"
+    assert repr(CohClass(spec)) == "CohClass(0)"
+    assert repr(CohClass.u(spec) ** 4) == "CohClass((1/1)u^3v)"
+
+
 def test_immutable():
     a = CohClass.u(RingSpec(2, 1))
     with pytest.raises(AttributeError):
-        a.p = ()
+        a.P = ()
 
 
 def _assert_normal_form(x):
@@ -185,9 +202,7 @@ def _assert_normal_form(x):
     assert all(type(c) is int for c in x.P + x.Q)
     assert type(x.den) is int and x.den > 0
     assert gcd(x.den, *x.P, *x.Q) == 1
-    assert len(x.p) == len(x.q) == n
-    assert all(type(c) is Rational for c in x.p + x.q)
-    rebuilt = CohClass(x.spec, x.p, x.q)
+    rebuilt = CohClass(x.spec, *_rationals(x))
     assert x == rebuilt
     assert hash(x) == hash(rebuilt)
 
@@ -215,7 +230,8 @@ def _class_pairs(draw, coeff=_fractions):
 def test_ring_results_stay_in_normal_form(pair, frac, m, power):
     a, b = pair
     spec = a.spec
-    degree_2 = CohClass.from_uv(spec, a.p[1], a.q[0])
+    p, q = _rationals(a)
+    degree_2 = CohClass.from_uv(spec, p[1], q[0])
     results = [
         a * b,
         a + b,
@@ -226,7 +242,7 @@ def test_ring_results_stay_in_normal_form(pair, frac, m, power):
         a * m,
         a ** power,
         coh_eval_series(ps_exp(frac, 2 * spec.k + 1), degree_2),
-        CohClass.reduce(spec, [m] * (2 * spec.k + 1), [1]),
+        CohClass(spec, [m] * (2 * spec.k), [1]),
     ]
     for x in results:
         _assert_normal_form(x)
@@ -241,13 +257,13 @@ def test_equal_classes_share_one_integer_form(pair, w):
     spec = a.spec
     n = 2 * spec.k
     one = CohClass.one(spec)
-    # w*u^{2k} reduces to c*w*u^{2k-1}*v, so this pair reduces to a
-    q_less_fold = list(a.q[:-1]) + [a.q[-1] - spec.c * w]
+    p, q = _rationals(a)
+    # w*u^{2k} reduces to c*w*u^{2k-1}*v, so this sum reduces to a
+    q_less_fold = q[:-1] + [q[-1] - spec.c * w]
     routes = [
-        CohClass(spec, a.p, a.q),
+        CohClass(spec, p, q),
         CohClass(spec, a.P, a.Q).scale(Fraction(1, a.den)),
-        CohClass.reduce(spec, a.p, a.q),
-        CohClass.reduce(spec, list(a.p) + [w], q_less_fold),
+        CohClass(spec, p, q_less_fold) + (CohClass.u(spec) ** n).scale(w),
         a * one,
         one * a,
         (a + b) - b,
@@ -272,25 +288,31 @@ def _full_product(a, b):
     return out
 
 
+def _untruncated_product(a, b):
+    """a * b with every degree kept, then reduced: u^{2k} folds into c*u^{2k-1}*v."""
+    (p1, q1), (p2, q2) = _rationals(a), _rationals(b)
+    p = _full_product(p1, p2)
+    q = [x + y for x, y in zip(_full_product(p1, q2), _full_product(q1, p2))]
+    n = 2 * a.spec.k
+    q[n - 1] += a.spec.c * p[n]
+    return CohClass(a.spec, p[:n], q[:n])
+
+
 @settings(max_examples=60, deadline=None)
 @given(_class_pairs())
 def test_product_is_reduced_untruncated_product(pair):
     # (p1 + v q1)(p2 + v q2) = p1 p2 + v (p1 q2 + q1 p2), every degree kept, then reduced
     a, b = pair
-    p = _full_product(a.p, b.p)
-    q = [x + y for x, y in zip(_full_product(a.p, b.q), _full_product(a.q, b.p))]
-    assert a * b == CohClass.reduce(a.spec, p, q)
+    assert a * b == _untruncated_product(a, b)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_class_pairs(st.one_of(st.just(0), _fractions, _big_fractions)))
 def test_product_with_large_coprime_denominators(pair):
     a, b = pair
-    p = _full_product(a.p, b.p)
-    q = [x + y for x, y in zip(_full_product(a.p, b.q), _full_product(a.q, b.p))]
     product = a * b
-    assert product == CohClass.reduce(a.spec, p, q)
-    assert all(isinstance(x, Rational) for x in product.p + product.q)
+    assert product == _untruncated_product(a, b)
+    _assert_normal_form(product)
 
 
 def _eval_series_by_products(f, x):

@@ -17,7 +17,6 @@ from etainv.invariants import (
     decompose_affine_in_t,
     family_scan,
     find_good_s,
-    s2_closed_form,
 )
 from etainv.zcohomology import cohomology_Mbar, gysin_step_matrix, h4_M_order
 
@@ -29,13 +28,12 @@ ENTRY_POINTS = {
     "find_good_s": (lambda k, s: find_good_s(k, [s]), "ks"),
     "a1_direct": (a1_direct, "ks"),
     "a1_residue": (a1_residue, "ks"),
-    "s2_closed_form": (s2_closed_form, "k"),
     "decompose_affine_in_t": (decompose_affine_in_t, "kcs"),
     # a bad t is reported on its own row, not raised (see test_non_int_t_is_refused_on_its_own_row)
     "family_scan": (lambda k, c, s: family_scan(k, c, s, [1]), "kcs"),
     "cohomology_Mbar": (cohomology_Mbar, "ks"),
     "h4_M_order": (h4_M_order, "s"),
-    "gysin_step_matrix": (lambda s, t: gysin_step_matrix(RingSpec(2, 1), s, t, 1), "st"),
+    "gysin_step_matrix": (gysin_step_matrix, "st"),
 }
 
 # what the first series, ring or matrix step of any entry point calls

@@ -70,9 +70,14 @@ def test_arithmetic_aligns_to_min_order():
 
 
 def test_scalar_mixing():
+    # +, - and * take two series; scale is the one operation with a rational
     f = series8([1, 2, 3])
-    assert (f + 1).coeff(0) == 2
-    assert (f - 2).coeff(0) == -1
+    for mixed in (
+        lambda: f + 1, lambda: 1 + f, lambda: f - Rational(1, 2), lambda: 2 - f,
+        lambda: f * 2, lambda: Rational(1, 2) * f,
+    ):
+        with pytest.raises(TypeError):
+            mixed()
     assert (-f).coeff(1) == -2
     assert f.scale(Rational(1, 2)).coeff(2) == Rational(3, 2)
 
@@ -401,7 +406,7 @@ def test_equal_series_share_one_integer_form(a, b, w):
         f.divide(g) * g,
         (f * g).divide(g),
         f.scale(w).scale(1 / w),
-        f.shift_const(w) - w,
+        (f + PowerSeries.constant("x", w, 8)) - PowerSeries.constant("x", w, 8),
         f.compose(PowerSeries.identity("x", 8)),
     ]
     for h in routes:
@@ -421,6 +426,8 @@ def test_coeffs_are_fractions_and_the_integers_are_immutable():
         with pytest.raises(AttributeError):
             setattr(f, name, None)
     assert f == PowerSeries("x", [1, Rational(1, 2), 0, 3], 5)
+    # the order is a required argument, so repr passes it
+    assert eval(repr(f)) == f
 
 
 @settings(max_examples=60, deadline=None)

@@ -119,25 +119,25 @@ def test_group_desc_str_and_to_dict():
 
 
 def test_gysin_step_matrix_shape():
-    m = gysin_step_matrix(RingSpec(2, 1), 2, 3, 1)
+    m = gysin_step_matrix(2, 3)
     assert m.to_lists() == [[2, 3], [0, 2]]
-    with pytest.raises(RangeError):
-        gysin_step_matrix(RingSpec(2, 1), 2, 3, 0)
-    with pytest.raises(RangeError):
-        gysin_step_matrix(RingSpec(2, 1), 2, 3, 3)
     # int() would truncate s = 1/2 to [[0, 1], [0, 0]], with SNF (1, 0)
     with pytest.raises(InvalidParams, match=r"^s must be an int, got Fraction\(1, 2\)$"):
-        gysin_step_matrix(RingSpec(2, 1), Fraction(1, 2), 1, 1)
+        gysin_step_matrix(Fraction(1, 2), 1)
 
 
 def test_gysin_step_matrix_matches_ring_computation():
+    # the step matrix depends on (s, t) only; the ring gives it at every step l in [1, 2k-2]
     for k, c in ((2, 1), (3, 3)):
         spec = RingSpec(k, c)
         for s, t in ((2, 1), (4, 3), (6, 5)):
             for l in range(1, 2 * k - 1):
-                assert gysin_step_matrix(spec, s, t, l).to_lists() == (
+                assert gysin_step_matrix(s, t).to_lists() == (
                     gysin_step_matrix_via_ring(spec, s, t, l).to_lists()
                 ), (k, c, s, t, l)
+        for l in (0, 2 * k - 1):
+            with pytest.raises(RangeError, match=rf"^l={l} outside \[1, {2 * k - 2}\] for k={k}$"):
+                gysin_step_matrix_via_ring(spec, 2, 3, l)
 
 
 def test_gysin_step_matrix_via_ring_refuses_non_integral_entries():
