@@ -12,7 +12,8 @@ terms that can survive reduction: P1*P2 up to u^{2k} (which folds into
 c*u^{2k-1}*v) and P1*Q2 + Q1*P2 up to u^{2k-1}*v.  It walks the rows
 (P1[i], Q1[i]) once and adds each nonzero row into both accumulators in
 one pass over the pairs (P2[j], Q2[j]).  No rational is built per
-coefficient.  ``**`` is the package's one binary exponentiation.
+coefficient.  ``**`` is the package's one binary exponentiation; ``*`` takes
+two classes, and :meth:`CohClass.scale` takes a rational.
 
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f at a degree-2 class a*u + b*v in closed form, as
@@ -252,7 +253,7 @@ class CohClass:
 
     def __mul__(self, other):
         if not isinstance(other, CohClass):
-            return self.scale(other)
+            return NotImplemented
         self._check(other)
         spec = self.spec
         n = 2 * spec.k
@@ -286,8 +287,6 @@ class CohClass:
         # u^{2k} folds into c*u^{2k-1}*v
         vq[n - 1] += spec.c * top
         return CohClass._canonical(spec, self.den * other.den, tuple(pp), tuple(vq))
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CohClass":
         if n < 0:

@@ -6,17 +6,17 @@ characteristic-class product in the ring Q[u,v]/(v^2, u^{2k} - c*u^{2k-1}*v);
 the relative eta-invariant is -2 times that value.  As a function of t the
 datum is affine, a = A0 - A1*t, and A1 is computed here along three
 independent routes (ring integral, univariate series, residue after
-substitution) that must agree exactly.  As a polynomial in s, A1 comes from
-one rational series T scaled by s^n: [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n.
+substitution) that must agree exactly.  As a polynomial in s, A1 is built in
+integers from the Euler and central factorial numbers (:func:`a1_poly_in_s`).
 Tests check it against the univariate series at 2k distinct rational s,
 which determine a polynomial of degree <= 2k-1.
 
 Reports take the affine split from the univariate route.  With
 F(x) = x/(2 sinh(x/2)) and G(x) = 1/(2 cosh(x/2)), both even, and v^2 = 0:
 F(2v) = 1, so A-hat(B_c) = F(u)^{2k} - (c/2k) v (F^{2k})'(u), and
-G(su + tv) = G(su) + t v G'(su) with G' = -T.  Integrating gives
-A1 = a1_poly_in_s(k)(s) and A0 = -c*s*A1/(2k), that is
-a = -A1(s) * (t + c*s/(2k)).  No ring work enters (A0, A1).
+G(su + tv) = G(su) + t v G'(su).  Integrating gives A1 = a1_poly_in_s(k)(s)
+and A0 = -c*s*A1/(2k), that is a = -A1(s) * (t + c*s/(2k)).  No ring work
+enters (A0, A1).
 
 The ring route certifies the split once per k, for every (c, s, t) at once.
 Write A-hat(B_c) = p + v q.  Its moments mu_j = integral of A-hat u^j =
@@ -377,8 +377,8 @@ def _certified_split(k: int, c: int, s: int):
     """(A0, A1) from the univariate identity, checked against the ring certificate.
 
     F is even, so F(2v) = 1 and A-hat(B_c) = F^{2k} - (c/2k) v (F^{2k})';
-    integrating against G(su + tv) = G(su) + t v G'(su), with G' = -T,
-    gives A1 = a1_poly_in_s(k)(s) and A0 = -c*s*A1/(2k).  The ring integral
+    integrating against G(su + tv) = G(su) + t v G'(su) gives
+    A1 = a1_poly_in_s(k)(s) and A0 = -c*s*A1/(2k).  The ring integral
     I(t) = c Y(s) + t Z(s), from the polynomials that :func:`_ring_moments`
     proved once per k, must have c Y(s) = A0 and Z(s) = -A1 at this (c, s);
     the check runs on every request.
@@ -473,27 +473,21 @@ def a1_residue(k: int, s: int):
     half = Rational(1, 2)
     e_half, e_minus_half = ps_exp(half, order, "u"), ps_exp(-half, order, "u")
     u_of_w = (e_half - e_minus_half).revert()
-    sh = s * half
-    e_plus = ps_exp(sh, order, "u")
-    e_minus = ps_exp(-sh, order, "u")
-    big_s = e_plus - e_minus
-    big_c = e_plus + e_minus
     cosh_u2 = (e_half + e_minus_half).scale(half)
-    integrand_u = big_s.divide((big_c * big_c).scale(2)).divide(cosh_u2)
+    integrand_u = _t_factor(s * half, order).divide(cosh_u2)
     return integrand_u.compose(u_of_w).coeff(2 * k - 1)
 
 
 def a1_poly_in_s(k: int) -> UniPoly:
-    """A1 as an exact element of Q[s]: odd, of degree <= 2k-1.
+    """A1 as an exact element of Q[s]: odd, of degree 2k-1, built with no series.
 
-    A1 = [u^{2k-1}] F(u)^{2k} T(su) with F(u) = u/(e^{u/2}-e^{-u/2}) and
-    T(x) = sinh(x/2)/(2cosh(x/2))^2.  T(su) has coefficients T_n s^n, so
-    [s^n] A1 = [u^{2k-1-n}] F^{2k} * T_n.  T = -G' with G = 1/(2cosh(x/2)),
-    so T_n = -(n+1) G_{n+1} is read from the cached series that the ring
-    certificate reads; F and G are the same cache entries, truncated at
-    u^{2k}, that reports read.  F^{2k} and G are stored as integers over d_F
-    and d_G, so the coefficients are -(n+1) F_{2k-1-n} G_{n+1} over d_F * d_G.
-    The polynomial depends on k alone and is built once per k.
+    For m = 1..k, [s^{2m-1}] A1 = -E_{2m} t(2k, 2m) / (2^{2m+1} (2k-1)!), with
+    the Euler numbers E_{2m} = (-1)^m |E_{2m}| (:func:`_secant_numbers`) and
+    the central factorial numbers t(2k, 2m) = [y^m] y (y - 1^2)...(y - (k-1)^2).
+    Lagrange inversion gives it from A1 = [u^{2k-1}] F(u)^{2k} T(su), with
+    F(u) = u/(2 sinh(u/2)) and T(x) = sinh(x/2)/(2cosh(x/2))^2 (README,
+    "Theorem").  The numerators are -E_{2m} t(2k, 2m) 2^{2k-2m} over
+    2^{2k+1} (2k-1)!.  The polynomial depends on k alone and is built once per k.
     """
     check_params(k)  # before the per-k cache, where 2.0 would read the entry of k = 2
     return _a1_poly(k)
@@ -501,18 +495,21 @@ def a1_poly_in_s(k: int) -> UniPoly:
 
 @lru_cache(maxsize=None)
 def _a1_poly(k: int) -> UniPoly:
-    top = 2 * k - 1
-    f = _ahat_factor(2 * k).truncate(top) ** (2 * k)
-    g = _inv_two_cosh(2 * k)
-    nums = [-(n + 1) * f.nums[top - n] * g.nums[n + 1] for n in range(top + 1)]
-    return UniPoly("s", nums, f.den * g.den)
+    secant = _secant_numbers(k)
+    t = [0, 1]  # y, then times (y - j^2) for j = 1..k-1: t[m] = t(2k, 2m)
+    for j in range(1, k):
+        t = [a - j * j * b for a, b in zip([0] + t, t + [0])]
+    nums = [0] * (2 * k)
+    nums[1::2] = [(-1) ** (m + 1) * secant[m] * t[m] << 2 * (k - m) for m in range(1, k + 1)]
+    return UniPoly("s", nums, 2 ** (2 * k + 1) * math.factorial(2 * k - 1))
 
 
 def find_good_s(k: int, s_candidates) -> list[int]:
-    """Filter even nonzero candidates to those with A1(s) != 0.
+    """Filter even nonzero candidates to those with A1(s) != 0: all of them.
 
-    More than MAX_S_CANDIDATES candidates, or one that the gate refuses,
-    raise before A1(s) is built.
+    A1(s) != 0 for every s != 0 (README, "Theorem"), so every candidate is
+    kept, in order.  More than MAX_S_CANDIDATES candidates, or one that the
+    gate refuses, raise before A1(s) is built.
     """
     check_params(k)
     s_candidates = _at_most(MAX_S_CANDIDATES, "s candidates", s_candidates)

@@ -144,11 +144,6 @@ class PowerSeries:
             raise OrderExceeded(f"degree {n} exceeds truncation order {self.order}")
         return Rational(self.nums[n], self.den)
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order >= self.order:
-            return self
-        return PowerSeries._canonical(self.variable, order, self.den, self.nums[: order + 1])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented

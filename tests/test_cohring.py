@@ -137,8 +137,12 @@ def test_spec_mismatch():
 def test_scalar_multiplication():
     spec = RingSpec(2, 1)
     u = CohClass.u(spec)
-    assert u.scale(Rational(1, 2)) * 2 == u
-    assert 3 * u == u.scale(3)
+    assert u.scale(Rational(1, 2)).scale(2) == u
+    assert u.scale(3) == u + u + u
+    # * takes two classes: a scalar goes through scale
+    for product in (lambda: 2 * u, lambda: u * 2, lambda: u * Rational(1, 2)):
+        with pytest.raises(TypeError):
+            product()
 
 
 def test_integration_reads_top_class():
@@ -239,7 +243,7 @@ def test_ring_results_stay_in_normal_form(pair, frac, m, power):
         -a,
         a.scale(m),
         a.scale(frac),
-        a * m,
+        a * CohClass.one(spec).scale(m),
         a ** power,
         coh_eval_series(ps_exp(frac, 2 * spec.k + 1), degree_2),
         CohClass(spec, [m] * (2 * spec.k), [1]),

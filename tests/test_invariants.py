@@ -158,11 +158,25 @@ def test_reports_truncated_at_2k_are_exact(k):
         assert decompose_affine_in_t(k, c, s) == (report.A0, report.A1)
 
 
-def test_reports_and_a1_poly_share_one_series_cache_entry(cold_caches):
+def test_report_builds_one_entry_of_each_series_cache(cold_caches):
     relative_eta(FamilyParams(6, 1, 2, 3))
-    a1_poly_in_s(6)
     assert invariants._ahat_factor.cache_info().misses == 1
     assert invariants._inv_two_cosh.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("k", [2, 9, 64])
+def test_a1_poly_builds_no_series(cold_caches, monkeypatch, k):
+    # A1(s) comes from the Euler and central factorial numbers: on cold
+    # caches it builds no F, no G, no F^{2k-1} and no series power
+    def refuse(*args):
+        raise AssertionError("a1_poly_in_s raised a series to a power")
+
+    monkeypatch.setattr(PowerSeries, "__pow__", refuse)
+    poly = a1_poly_in_s(k)
+    monkeypatch.undo()
+    for cache in (invariants._ahat_factor, invariants._inv_two_cosh, invariants._ahat_power):
+        assert cache.cache_info().misses == 0, cache
+    assert poly(2) == Rational((-1) ** (k - 1) * k, 2 ** (k + 1))
 
 
 def test_warm_request_raises_no_series_power(cold_caches, monkeypatch):
@@ -199,7 +213,11 @@ def test_ring_certificate_builds_for_every_k(cold_caches):
         assert (Y.degree(), Z.degree()) == (2 * k, 2 * k - 1), k
         # Y = -s A1(s)/(2k) is even and Z = -A1(s) is odd
         assert not any(Y.nums[1::2]) and not any(Z.nums[0::2]), k
+        # the certificate accepted the polynomial that reports read
+        a1 = a1_poly_in_s(k)
+        assert Z == UniPoly("s", [-x for x in a1.nums], a1.den), k
     assert invariants._ring_moments.cache_info().misses == MAX_K - 1
+    assert invariants._a1_poly.cache_info().misses == MAX_K - 1
 
 
 def _shift_moments(which, shift):
