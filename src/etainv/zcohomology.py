@@ -48,6 +48,9 @@ class IntMatrix:
     def from_lists(cls, lists) -> "IntMatrix":
         rows = len(lists)
         cols = len(lists[0]) if rows else 0
+        if any(len(row) != cols for row in lists):
+            lengths = [len(row) for row in lists]
+            raise ValueError(f"every row must have {cols} entries, got {lengths}")
         flat = [e for row in lists for e in row]
         return cls(rows, cols, tuple(flat))
 

@@ -1,8 +1,13 @@
 """Normal-form arithmetic in Q[u,v]/(v^2, u^{2k} - c*u^{2k-1}*v)."""
 
+import os
+import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +24,7 @@ from etainv.cohring import (
     coh_integrate,
 )
 from etainv.coeffcore import Rational
+from etainv.invariants import ahat_Bc
 from etainv.series import PowerSeries, ps_exp
 
 
@@ -221,7 +227,8 @@ _big_fractions = st.builds(
 
 @st.composite
 def _class_pairs(draw, coeff=_fractions):
-    k = draw(st.integers(2, 4))
+    # k = 2..4 multiply through the generated kernel, k = 5, 6 through the row loop
+    k = draw(st.integers(2, 6))
     spec = RingSpec(k, draw(st.sampled_from((1, -1, 3, -5))))
     coeffs = st.lists(coeff, min_size=2 * k, max_size=2 * k)
     a = CohClass(spec, draw(coeffs), draw(coeffs))
@@ -317,6 +324,57 @@ def test_product_with_large_coprime_denominators(pair):
     product = a * b
     assert product == _untruncated_product(a, b)
     _assert_normal_form(product)
+
+
+_BIG = 2**63 - 1
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_kernel_is_the_row_loop(n):
+    # built past _KERNEL_MAX_N too: the bound chooses speed, not results
+    rng = random.Random(n)
+    zero = (0,) * n
+
+    def row():
+        return tuple(rng.choice((0, rng.randint(-9, 9), rng.randint(-_BIG, _BIG))) for _ in range(n))
+
+    ahat = ahat_Bc(RingSpec(n // 2, 3))
+    cases = [
+        (zero, zero, zero, zero),
+        (zero, row(), row(), row()),
+        (row(), zero, row(), zero),
+        (ahat.P, ahat.Q, ahat.P, ahat.Q),
+        (ahat.P, ahat.Q, row(), row()),
+        *[(row(), row(), row(), row()) for _ in range(10)],
+    ]
+    kernel = cohring._kernel(n)
+    for args in cases:
+        for c in (1, -5, _BIG, -_BIG):
+            assert kernel(*args, c) == cohring._mul_loop(*args, c)
+
+
+def test_kernels_are_built_on_first_use_up_to_the_bound():
+    # nothing is compiled at import; the first product at 2k <= _KERNEL_MAX_N
+    # builds that kernel, later ones reuse it, and larger rings run the loop
+    code = """
+import etainv.cli
+from etainv import cohring
+from etainv.cohring import CohClass, RingSpec
+assert cohring._KERNEL_MAX_N == 8
+info = [cohring._kernel.cache_info()[:2]]
+for k in (2, 2, 4, 5, 6):
+    u = CohClass.u(RingSpec(k, 1))
+    assert u * u == CohClass(u.spec, (0, 0, 1))
+    info.append(cohring._kernel.cache_info()[:2])
+print(info)
+"""
+    src = str(Path(cohring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[(0, 0), (0, 1), (1, 1), (1, 2), (1, 2), (1, 2)]\n"
 
 
 def _eval_series_by_products(f, x):
