@@ -336,7 +336,8 @@ def test_kernel_is_the_row_loop(n):
     zero = (0,) * n
 
     def row():
-        return tuple(rng.choice((0, rng.randint(-9, 9), rng.randint(-_BIG, _BIG))) for _ in range(n))
+        entries = (rng.choice((0, rng.randint(-9, 9), rng.randint(-_BIG, _BIG))) for _ in range(n))
+        return tuple(entries)
 
     ahat = ahat_Bc(RingSpec(n // 2, 3))
     cases = [

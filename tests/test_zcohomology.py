@@ -35,7 +35,7 @@ def test_matrix_validation():
         IntMatrix(1, 2, (True, 2))
     m = IntMatrix.from_lists([[1, 2], [3, 4]])
     assert m.to_lists() == [[1, 2], [3, 4]]
-    # ragged rows used to be refilled row-major, as [[1, 2], [3, 4], [5, 6]]
+    # rows of unequal length are refused, not refilled row-major into [[1, 2], [3, 4], [5, 6]]
     with pytest.raises(ValueError, match=r"^every row must have 2 entries, got \[2, 3, 1\]$"):
         IntMatrix.from_lists([[1, 2], [3, 4, 5], [6]])
     with pytest.raises(ValueError, match=r"^every row must have 2 entries, got \[2, 1\]$"):
