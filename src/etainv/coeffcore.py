@@ -12,7 +12,10 @@ the result by one gcd, rather than one gcd per term (Knuth, TAOCP vol. 2,
 ``UniPoly`` is the return type of ``a1_poly_in_s``, stored as ``CohClass``
 stores a class: integer numerators over one positive denominator, with the
 common factor divided out.  It is evaluated by Horner's rule in integers, one
-rational per value, and printed with ``to_strings``.  Its polynomial product
+rational per value, and printed with ``to_strings``, one gcd per coefficient.
+It is evaluated only at an ``int`` or a ``Fraction``: a float is a
+``TypeError`` (:func:`_check_exact`), as it is in ``PowerSeries`` and
+``CohClass``.  Its polynomial product
 is kept for the layer tracer in ``perfbench/tracing.py``.
 """
 
@@ -44,6 +47,13 @@ def _int_convolve(n: int, a_terms, b_terms) -> list:
                 break
             acc[i + j] += x * y
     return acc
+
+
+def _check_exact(values, what: str) -> None:
+    """Raise TypeError unless every value is an int or a Fraction: a float is never exact."""
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__} {x!r}")
 
 
 def rat_to_str(q) -> str:
@@ -109,13 +119,14 @@ class UniPoly:
         return UniPoly(self.variable, nums, self.den * other.den)
 
     def __call__(self, x):
-        """The value at a rational point x, an int or Fraction.
+        """The value at a rational point x, an int or Fraction (TypeError otherwise).
 
         Horner's rule in integers: x = p/q is homogenised, so for degree n
         the value is sum_i a_i p^i q^(n+1-i) / (den q^(n+1)), the sum by
         Horner's rule over integers and one Fraction at the end.  (The spare
         factor q keeps the zero polynomial, n = -1, on the same path.)
         """
+        _check_exact((x,), "UniPoly argument")
         p, q = x.numerator, x.denominator
         acc, qn = 0, 1
         for a in reversed(self.nums):
@@ -126,8 +137,9 @@ class UniPoly:
     # -- serialization -----------------------------------------------------
 
     def to_strings(self) -> list[str]:
-        """Ordered coefficient array of 'num/den' strings."""
-        return [rat_to_str(c) for c in self.coeffs]
+        """Ordered coefficient array of 'num/den' strings, each in lowest terms."""
+        den = self.den
+        return [f"{x // g}/{den // g}" for x in self.nums for g in (gcd(x, den),)]
 
     def __repr__(self):
         return f"UniPoly({self.variable!r}, {list(self.nums)!r}, {self.den!r})"

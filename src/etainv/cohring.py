@@ -10,18 +10,22 @@ spanned by u^{2k-1}*v.
 A product is one integer convolution over den1*den2 that builds only the
 terms that can survive reduction: P1*P2 up to u^{2k} (which folds into
 c*u^{2k-1}*v) and P1*Q2 + Q1*P2 up to u^{2k-1}*v.  No rational is built per
-coefficient.  Up to 2k = _KERNEL_MAX_N = 8 it runs through a straight-line
-kernel, one per ring size, whose source is generated from 2k alone and
-compiled on the first product at that size (:func:`_kernel`): at these
-sizes a product's cost is the interpreter's loop, not the arithmetic, and
-the kernel is two to four times faster.  Larger rings run :func:`_mul_loop`,
-which walks the rows (P1[i], Q1[i]) once and adds each nonzero row into
-both accumulators in one pass over (P2[j], Q2[j]): past k = 4 the kernel's
-compile time grows as k^2, the big-int entries of real classes leave it
-little to save (nothing at k = 64), and a request makes too few products
-per ring to repay the compile.  ``**`` is the package's one binary
-exponentiation; ``*`` takes two classes, and :meth:`CohClass.scale` takes a
-rational.
+coefficient.  Up to 2k = _KERNEL_MAX_N = 8 it is one straight-line step, one
+per ring size, whose source is generated from 2k alone and compiled on the
+first product at that size (:func:`_kernel`): it takes the two classes'
+integers and returns the finished class through ``_canonical``.  At these
+sizes a product's cost is the interpreter's per-call work, not the
+arithmetic, so ``*`` compares the two specs by identity before ``==``, and
+a class's slots are set through their own descriptors rather than
+``object.__setattr__``.  Larger rings run :func:`_mul_loop`, which walks
+the rows (P1[i], Q1[i]) once and adds each nonzero row into both
+accumulators in one pass over (P2[j], Q2[j]), and then ``_canonical``: past
+k = 4 the kernel's compile time grows as k^2, the big-int entries of real
+classes leave it little to save (nothing at k = 64), and a request makes
+too few products per ring to repay the compile.
+``**`` is the package's one binary exponentiation; ``*`` takes two classes,
+and :meth:`CohClass.scale` takes a rational.  Coefficients are ``int`` or
+``Fraction``; a float is a ``TypeError``.
 
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f at a degree-2 class a*u + b*v in closed form, as
@@ -40,7 +44,7 @@ from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import mul
 
-from .coeffcore import Rational, rat_to_str
+from .coeffcore import Rational, _check_exact, rat_to_str
 from .series import PowerSeries
 
 __all__ = [
@@ -158,7 +162,7 @@ class CohClass:
             raise ValueError(f"at most 2k = {n} coefficients per part, got {len(p)} and {len(q)}")
         den = 1  # ints are their own numerators; rationals go over the lcm of their denominators
         if not all(type(c) is int for c in p + q):
-            p, q = [Rational(c) for c in p], [Rational(c) for c in q]
+            _check_exact(p + q, "CohClass coefficients")
             den = lcm(*[c.denominator for c in p + q])
             p, q = ([c.numerator * (den // c.denominator) for c in cs] for cs in (p, q))
         self._assign(spec, den, tuple(p) + (0,) * (n - len(p)), tuple(q) + (0,) * (n - len(q)))
@@ -178,10 +182,11 @@ class CohClass:
             den //= g
             P = tuple(x // g for x in P)
             Q = tuple(x // g for x in Q)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
+        # the slots' own setters: __setattr__ below refuses every write
+        _set_spec(self, spec)
+        _set_den(self, den)
+        _set_P(self, P)
+        _set_Q(self, Q)
         return self
 
     def __setattr__(self, name, value):
@@ -263,12 +268,14 @@ class CohClass:
     def __mul__(self, other):
         if not isinstance(other, CohClass):
             return NotImplemented
-        self._check(other)
         spec = self.spec
+        if other.spec is not spec:  # classes of one ring usually share its RingSpec
+            self._check(other)
         n = 2 * spec.k
         # the numerators multiply over den1*den2
-        product = _kernel(n) if n <= _KERNEL_MAX_N else _mul_loop
-        pp, vq = product(self.P, self.Q, other.P, other.Q, spec.c)
+        if n <= _KERNEL_MAX_N:
+            return _kernel(n)(spec, self.den * other.den, self.P, self.Q, other.P, other.Q, spec.c)
+        pp, vq = _mul_loop(self.P, self.Q, other.P, other.Q, spec.c)
         return CohClass._canonical(spec, self.den * other.den, pp, vq)
 
     def __pow__(self, n: int) -> "CohClass":
@@ -292,6 +299,10 @@ class CohClass:
         ]
         return "CohClass(" + (" + ".join(terms) or "0") + ")"
 
+
+_set_spec, _set_den, _set_P, _set_Q = (
+    CohClass.__dict__[name].__set__ for name in CohClass.__slots__
+)
 
 # the largest 2k whose products run through a generated kernel: past it the
 # compile cost grows as n^2 and the big-int products erase the saving
@@ -336,9 +347,11 @@ def _mul_loop(P1, Q1, P2, Q2, c):
 
 @lru_cache(maxsize=None)
 def _kernel(n: int):
-    """A straight-line function with the signature and results of :func:`_mul_loop` at 2k = n.
+    """The product of two classes at 2k = n, in one straight-line step.
 
-    It unpacks the four tuples into locals a_i, b_i, x_i, y_i and returns
+    The function takes (spec, den, P1, Q1, P2, Q2, c), with den = den1*den2,
+    and returns ``CohClass._canonical(spec, den, *_mul_loop(P1, Q1, P2, Q2, c))``.
+    It unpacks the four tuples into locals a_i, b_i, x_i, y_i and builds
     pp[m] = sum a_i x_{m-i} and vq[m] = sum (a_i y_{m-i} + b_i x_{m-i}),
     with c * sum_{i>=1} a_i x_{n-i} (the u^{2k} fold) added to vq[n-1].
     As ``dataclasses`` builds ``__init__``, the source is generated and run
@@ -352,11 +365,11 @@ def _kernel(n: int):
     pp = [conv("a", "x", m) for m in range(n)]
     vq = [f"{conv('a', 'y', m)} + {conv('b', 'x', m)}" for m in range(n)]
     vq[-1] += " + c*(" + " + ".join(f"a{i}*x{n - i}" for i in range(1, n)) + ")"
-    lines = ["def product(P1, Q1, P2, Q2, c):"]
+    lines = ["def product(spec, den, P1, Q1, P2, Q2, c):"]
     for name, arg in zip("abxy", ("P1", "Q1", "P2", "Q2")):
         lines.append("    " + "".join(f"{name}{i}, " for i in range(n)) + f"= {arg}")
-    lines.append(f"    return ({', '.join(pp)},), ({', '.join(vq)},)")
-    namespace = {}
+    lines.append(f"    return canonical(spec, den, ({', '.join(pp)},), ({', '.join(vq)},))")
+    namespace = {"canonical": CohClass._canonical}
     exec("\n".join(lines), namespace)
     return namespace["product"]
 

@@ -4,8 +4,9 @@ A series carries its variable tag, an explicit truncation order N, and its
 N+1 coefficients as integer numerators ``nums`` over one denominator ``den``,
 as ``CohClass`` and ``UniPoly`` store theirs: den > 0 and
 gcd(den, *nums) == 1, so equal series have equal integers.  The constructor
-takes ``int`` or ``Fraction`` coefficients; ``coeffs`` and :meth:`coeff`
-build ``Fraction``s only when asked.  No coefficient beyond the truncation is
+takes ``int`` or ``Fraction`` coefficients (any other type, a float
+included, is a ``TypeError``); ``coeffs`` and :meth:`coeff` build
+``Fraction``s only when asked.  No coefficient beyond the truncation is
 ever reported, and mixed-order arithmetic truncates to the minimum order.
 ``+``, ``-`` and ``*`` take two series; :meth:`PowerSeries.scale` is the one
 operation with a rational.
@@ -16,17 +17,20 @@ Every operation runs on the integers and reduces its result by one gcd
 recurrences of ``**`` and :meth:`PowerSeries.divide` keep the outputs found so
 far as integers over one running denominator, the lcm of their reduced
 denominators (:func:`_append_over`), so each new coefficient is an integer
-sum and one gcd.  :meth:`PowerSeries.compose` (Horner's rule) and
-:meth:`PowerSeries.revert` (Lagrange's formula) are integer recurrences too:
-each step is one integer convolution over a running denominator, reduced by
-one gcd (:func:`_reduced`), and no series is built until the result.
+sum and one gcd.  :meth:`PowerSeries.compose` (Horner's rule) is an integer
+recurrence too: each step is one integer convolution over a running
+denominator, reduced by one gcd (:func:`_reduced`).
+:meth:`PowerSeries.revert` (Lagrange's formula) builds each h^{-m} by its
+own copy of Miller's recurrence, with no ``**`` and no division.  No series
+is built until the result.
 """
 
 from __future__ import annotations
 
 from math import factorial, gcd, lcm
+from operator import mul
 
-from .coeffcore import Rational, _int_convolve
+from .coeffcore import Rational, _check_exact, _int_convolve
 
 __all__ = [
     "PowerSeries",
@@ -97,6 +101,7 @@ class PowerSeries:
         cs = list(coeffs)
         if order < 0:
             raise ValueError("truncation order must be >= 0")
+        _check_exact(cs, "PowerSeries coefficients")
         cs = cs[: order + 1]
         den = lcm(*[c.denominator for c in cs])
         nums = [c.numerator * (den // c.denominator) for c in cs]
@@ -109,10 +114,11 @@ class PowerSeries:
 
     def _assign(self, variable: str, order: int, den: int, nums) -> "PowerSeries":
         den, nums = _reduced(den, nums)
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", tuple(nums))
+        # the slots' own setters: __setattr__ below refuses every write
+        _set_variable(self, variable)
+        _set_order(self, order)
+        _set_den(self, den)
+        _set_nums(self, tuple(nums))
         return self
 
     def __setattr__(self, name, value):
@@ -278,31 +284,42 @@ class PowerSeries:
     def revert(self) -> "PowerSeries":
         """Compositional inverse g with self(g) = id, by Lagrange inversion.
 
-        Requires f(0) = 0 and a nonzero linear coefficient.  With self = x*h
-        and q = 1/h, g_m = [x^{m-1}] q^m / m.  The powers q^m are kept to
-        order n - 1 as integers over one running denominator, one integer
-        convolution with q and one gcd per step, and each g_m is appended
-        over the running denominator of the g found so far (as in divide).
+        Requires f(0) = 0 and a nonzero linear coefficient.  With self = x*h,
+        g_m = [x^{m-1}] h^{-m} / m.  For each m, h^{-m} is built to order
+        m - 1 by J.C.P. Miller's recurrence at exponent -m, written out here
+        rather than taken from ``**`` or :meth:`divide`, so the reversion
+        oracle runs no series routine of the production power.  With
+        h = (b_0 + b_1 x + ...)/B and p = (h/h_0)^{-m}: p_0 = 1 and
+        p_j = sum_{i=1..j} ((1-m) i - j) b_i p_{j-i} / (j b_0), two integer
+        dot products and one gcd per coefficient over a running denominator
+        (:func:`_append_over`); then g_m = B^m p_{m-1} / (m b_0^m).
         """
         if self.order < 1 or self.nums[0]:
             raise NotReversible("series must have zero constant term")
         if not self.nums[1]:
             raise NotReversible("linear coefficient must be a unit")
         n = self.order
-        h = PowerSeries._canonical(self.variable, n - 1, self.den, self.nums[1:])
-        q = PowerSeries.constant(self.variable, 1, n - 1).divide(h)
-        q_terms = _terms(q.nums)
-        power, power_den = q.nums, q.den  # q^m, from m = 1
+        b0 = self.nums[1]
+        b = self.nums[2:]  # b_1 .. b_{n-1}
+        ib = [i * x for i, x in enumerate(b, 1)]
         nums, den = [0], 1
         for m in range(1, n + 1):
-            if m > 1:
-                power = _int_convolve(n, _terms(power), q_terms)
-                power_den, power = _reduced(power_den * q.den, power)
-            den = _append_over(nums, den, power[m - 1], m * power_den)
+            # (b/b_0)^{-m} to order m - 1, from p_0 = 1
+            p, p_den = [1], 1
+            for j in range(1, m):
+                tail = p[::-1]  # p_{j-1}, ..., p_0
+                acc = (1 - m) * sum(map(mul, ib, tail)) - j * sum(map(mul, b, tail))
+                p_den = _append_over(p, p_den, acc, j * b0 * p_den)
+            den = _append_over(nums, den, self.den**m * p[m - 1], m * b0**m * p_den)
         return PowerSeries._canonical(self.variable, n, den, nums)
 
     def __repr__(self):
         return f"PowerSeries({self.variable!r}, {list(self.coeffs)!r}, {self.order})"
+
+
+_set_variable, _set_order, _set_den, _set_nums = (
+    PowerSeries.__dict__[name].__set__ for name in PowerSeries.__slots__
+)
 
 
 def ps_exp(a, order: int, variable: str = "x") -> PowerSeries:

@@ -10,7 +10,6 @@ test harness.
 from __future__ import annotations
 
 import random
-from itertools import islice
 from math import prod
 
 from .cohring import CohClass, RingSpec
@@ -171,22 +170,27 @@ def _check_series_engine():
     return True, "series engine: A-hat factor, reversion, compose/revert round trips"
 
 
-def _draws(rng: random.Random):
-    """The values of rng.randint(-5, 5), drawn the way CPython's randint draws them.
+def _draws(rng: random.Random, count: int) -> list:
+    """count values of rng.randint(-5, 5), drawn in bulk; rng ends in the same state.
 
-    randint(-5, 5) is -5 + randrange(11), and randrange takes getrandbits(4)
-    until the value is below 11; a generator does the same without the
-    argument handling of a call per entry.
+    randint(-5, 5) is -5 + randrange(11), and randrange takes getrandbits(4),
+    the top nibble of one 32-bit output of the generator, until it is below
+    11.  getrandbits(32 * m) packs m outputs, the first in the lowest word,
+    so byte 4i + 3 of its little-endian bytes is the top byte of output i,
+    and a top byte below 176 = 11 * 16 is a nibble below 11.  Each round
+    draws as many outputs as values are still missing, so no output is
+    drawn past the last one randint would use.
     """
-    getrandbits = rng.getrandbits
-    while True:
-        r = getrandbits(4)
-        if r < 11:
-            yield r - 5
+    values = []
+    while len(values) < count:
+        m = count - len(values)
+        top = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+        values += [(x >> 4) - 5 for x in top if x < 176]
+    return values
 
 
 def _check_ring_engine():
-    draws = _draws(random.Random(11))
+    rng = random.Random(11)
     for k in (2, 3):
         n = 2 * k
         for c in (1, 3):
@@ -198,7 +202,7 @@ def _check_ring_engine():
                 return False, f"ring relations fail at (k={k}, c={c})"
             # 50 triples of classes (P + v*Q)/1, each P and Q the next n draws,
             # built in normal form: den = 1 and integer entries need no reduction
-            values = tuple(islice(draws, 300 * n))
+            values = tuple(_draws(rng, 300 * n))
             classes = (
                 CohClass._canonical(spec, 1, values[i : i + n], values[i + n : i + 2 * n])
                 for i in range(0, 300 * n, 2 * n)

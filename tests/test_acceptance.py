@@ -9,6 +9,8 @@ them are larger randomized runs that would slow the CLI suite about fivefold.
 import random
 from itertools import islice
 
+import pytest
+
 from etainv.cohring import CohClass, RingSpec
 from etainv.coeffcore import Rational
 from etainv.series import PowerSeries
@@ -112,11 +114,41 @@ def test_ring_engine_draws_are_randint():
     # ring_engine takes 2 * 2k entries for each of the 3 classes of a triple,
     # 50 triples per (k, c): the same 6,000 values as randint(-5, 5) on this
     # interpreter, so it multiplies the same 200 triples as a randint loop
-    count = sum(50 * 3 * 2 * 2 * k for k in (2, 3) for c in (1, 3))
+    counts = [50 * 3 * 2 * 2 * k for k in (2, 3) for c in (1, 3)]
     rng = random.Random(11)
-    expected = [rng.randint(-5, 5) for _ in range(count)]
-    assert count == 6000
-    assert list(islice(_draws(random.Random(11)), count)) == expected
+    expected = [rng.randint(-5, 5) for _ in range(sum(counts))]
+    assert sum(counts) == 6000
+    rng = random.Random(11)
+    assert [x for count in counts for x in _draws(rng, count)] == expected
+
+
+class _RecordingRandom(random.Random):
+    """A generator that records the width of each getrandbits call."""
+
+    def __init__(self, seed):
+        self.widths = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("count", [0, 1, 2, 11, 300 * 4, 300 * 6])
+def test_draws_equal_randint_and_leave_its_state(count, seed):
+    # the same values as count calls of randint(-5, 5), and the generator
+    # ends where those calls leave it: no 32-bit output is drawn past the last
+    rng, reference = _RecordingRandom(seed), random.Random(seed)
+    assert _draws(rng, count) == [reference.randint(-5, 5) for _ in range(count)]
+    assert rng.getstate() == reference.getstate()
+    assert all(k % 32 == 0 for k in rng.widths)
+    if count == 0:
+        assert rng.widths == []
+    if count >= 300:
+        # about 5 outputs in 16 are refused, so the first round falls short
+        # and the rest are topped up in several more
+        assert rng.widths[0] == 32 * count and len(rng.widths) >= 3
 
 
 def test_ring_engine_multiplies_the_randint_triples(monkeypatch):
@@ -173,7 +205,7 @@ def test_ring_engine_catches_a_noncommutative_product(monkeypatch):
         return xy + CohClass(self.spec, (), [0] * (2 * self.spec.k - 1) + [skew])
 
     spec = RingSpec(2, 1)
-    draws = _draws(random.Random(11))
+    draws = iter(_draws(random.Random(11), 24))
     a, b, d = (CohClass(spec, list(islice(draws, 4)), list(islice(draws, 4))) for _ in range(3))
     monkeypatch.setattr(CohClass, "__mul__", skewed)
     assert (a * b) * d == a * (b * d)

@@ -92,6 +92,24 @@ def test_unipoly_strings_round_trip():
     assert _poly(map(Fraction, p.to_strings())) == p
 
 
+@given(small_polys, st.integers(1, 2**70))
+def test_unipoly_strings_are_each_coefficient_in_lowest_terms(p, scale):
+    # to_strings reduces each numerator against den by one gcd; the strings
+    # are those of the Fractions, for any common factor of nums and den
+    assert p.to_strings() == [rat_to_str(c) for c in p.coeffs]
+    q = UniPoly("s", [scale * x for x in p.nums], scale * p.den)
+    assert q.to_strings() == p.to_strings()
+
+
+def test_unipoly_refuses_a_float_argument():
+    p = UniPoly("s", [1, 2])
+    assert p(Fraction(1, 2)) == 2 and p(3) == 7
+    for x in (0.5, 2.0, "1/2", None):
+        message = f"^UniPoly argument must be int or Fraction, got {type(x).__name__} "
+        with pytest.raises(TypeError, match=message):
+            p(x)
+
+
 def test_unipoly_immutable():
     p = UniPoly("s", [0, 1])
     for name in ("coeffs", "nums", "den"):

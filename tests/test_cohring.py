@@ -140,6 +140,24 @@ def test_spec_mismatch():
     assert a + c == a.scale(2)
 
 
+@pytest.mark.parametrize("k", [2, 5])
+def test_equal_specs_multiply_and_different_ones_raise(k):
+    # the product takes the identity of the two specs as the fast case and
+    # falls back to ==, on the kernel (2k <= 8) and on the loop (2k = 10)
+    x = CohClass(RingSpec(k, 3), [1, Fraction(1, 2), 3], [0, -1, Fraction(2, 3)])
+    y = CohClass(RingSpec(k, 3), [2, 0, Fraction(-1, 5)], [4, 1])
+    same = CohClass(x.spec, [2, 0, Fraction(-1, 5)], [4, 1])
+    assert y.spec is not x.spec and y.spec == x.spec
+    assert x * y == x * same and y * x == same * x
+    assert (x * y).spec is x.spec and (y * x).spec is y.spec
+    for other in (RingSpec(k, 1), RingSpec(k + 1, 3)):
+        z = CohClass(other, [1], [1])
+        with pytest.raises(SpecMismatch, match=re.escape(f"{x.spec} vs {other}")):
+            x * z
+        with pytest.raises(SpecMismatch, match=re.escape(f"{other} vs {x.spec}")):
+            z * x
+
+
 def test_scalar_multiplication():
     spec = RingSpec(2, 1)
     u = CohClass.u(spec)
@@ -202,8 +220,21 @@ def test_repr_prints_each_nonzero_coefficient_in_lowest_terms():
 
 def test_immutable():
     a = CohClass.u(RingSpec(2, 1))
-    with pytest.raises(AttributeError):
-        a.P = ()
+    for name in ("spec", "den", "P", "Q"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+    assert (a.den, a.P, a.Q) == (1, (0, 1, 0, 0), (0, 0, 0, 0))
+
+
+def test_float_coefficients_raise_type_error():
+    # 0.1 would be held as 3602879701896397/36028797018963968; as the
+    # parameter gate refuses a float s, a float is never taken as exact
+    spec = RingSpec(2, 1)
+    message = "^CohClass coefficients must be int or Fraction, got float "
+    for p, q in (((0.1,), ()), ((1, 2), (0, 0.5)), ((Fraction(1, 3), 2.0), ())):
+        with pytest.raises(TypeError, match=message):
+            CohClass(spec, p, q)
+    assert CohClass(spec, (Fraction(1, 10),)) == CohClass(spec, (1,)).scale(Fraction(1, 10))
 
 
 def _assert_normal_form(x):
@@ -331,7 +362,9 @@ _BIG = 2**63 - 1
 
 @pytest.mark.parametrize("n", range(4, 17, 2))
 def test_kernel_is_the_row_loop(n):
-    # built past _KERNEL_MAX_N too: the bound chooses speed, not results
+    # built past _KERNEL_MAX_N too: the bound chooses speed, not results.  The
+    # one-step kernel returns the finished class that _canonical builds from
+    # the loop's numerators, over den = den1*den2
     rng = random.Random(n)
     zero = (0,) * n
 
@@ -339,19 +372,34 @@ def test_kernel_is_the_row_loop(n):
         entries = (rng.choice((0, rng.randint(-9, 9), rng.randint(-_BIG, _BIG))) for _ in range(n))
         return tuple(entries)
 
+    def multiple(g):
+        # entries sharing the factor g, so the product's numerators share g^2
+        return tuple(g * rng.randint(-9, 9) for _ in range(n))
+
     ahat = ahat_Bc(RingSpec(n // 2, 3))
     cases = [
-        (zero, zero, zero, zero),
-        (zero, row(), row(), row()),
-        (row(), zero, row(), zero),
-        (ahat.P, ahat.Q, ahat.P, ahat.Q),
-        (ahat.P, ahat.Q, row(), row()),
-        *[(row(), row(), row(), row()) for _ in range(10)],
+        (1, (zero, zero, zero, zero)),
+        (6, (zero, row(), row(), row())),
+        (1, (row(), zero, row(), zero)),
+        (ahat.den**2, (ahat.P, ahat.Q, ahat.P, ahat.Q)),
+        (ahat.den, (ahat.P, ahat.Q, row(), row())),
+        # the gcd of the result with den is 36, 2^62 or a 64-bit odd number
+        (72, (multiple(6), multiple(6), multiple(6), multiple(6))),
+        (2**63, (multiple(2**31), multiple(2**31), multiple(2**31), multiple(2**31))),
+        (3 * _BIG, (multiple(_BIG), row(), multiple(_BIG), zero)),
+        *[(rng.randint(2, _BIG), (row(), row(), row(), row())) for _ in range(10)],
     ]
     kernel = cohring._kernel(n)
-    for args in cases:
+    for den, args in cases:
         for c in (1, -5, _BIG, -_BIG):
-            assert kernel(*args, c) == cohring._mul_loop(*args, c)
+            spec = RingSpec(n // 2, c)
+            expected = CohClass._canonical(spec, den, *cohring._mul_loop(*args, c))
+            got = kernel(spec, den, *args, c)
+            assert type(got) is CohClass and got.spec is spec
+            assert (got.den, got.P, got.Q) == (expected.den, expected.P, expected.Q)
+    for den, args in cases[5:8]:
+        pp, vq = cohring._mul_loop(*args, 1)
+        assert gcd(den, *pp, *vq) > 1
 
 
 def test_kernels_are_built_on_first_use_up_to_the_bound():

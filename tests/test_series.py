@@ -338,8 +338,47 @@ def test_pow_past_truncation_is_zero():
 
 def test_immutability():
     f = series8([1, 2])
-    with pytest.raises(AttributeError):
-        f.coeffs = ()
+    for name in ("coeffs", "variable", "order", "den", "nums"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, ())
+    assert (f.variable, f.order, f.den, f.nums) == ("x", 8, 1, (1, 2) + (0,) * 7)
+
+
+def test_float_coefficients_raise_type_error():
+    # as the parameter gate refuses a float s: a float is never taken as exact
+    assert PowerSeries("x", [1, Fraction(1, 2)], 3).nums == (2, 1, 0, 0)
+    message = "^PowerSeries coefficients must be int or Fraction, got float "
+    # a float past the truncation order is refused too, though it would be dropped
+    for coeffs, order in (([0.5], 3), ([1, 2, 0.25], 3), ([Fraction(1, 3), 1.0], 3), ([1, 0.5], 0)):
+        with pytest.raises(TypeError, match=message):
+            PowerSeries("x", coeffs, order)
+
+
+def test_revert_calls_no_divide_and_no_pow(monkeypatch):
+    # the reversion oracle builds each h^{-m} by its own Miller recurrence:
+    # it shares neither ** (the production power) nor divide
+    w = ps_exp(Rational(1, 2), 12, "u") - ps_exp(Rational(-1, 2), 12, "u")
+    g = PowerSeries("x", [0, Rational(-3, 7), 2, Rational(1, 5), 0, -4], 9)
+    expected = [w.revert(), g.revert()]
+    calls = []
+
+    def recording(name):
+        original = getattr(PowerSeries, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("divide", "__pow__"):
+        monkeypatch.setattr(PowerSeries, name, recording(name))
+    assert w.divide(PowerSeries.constant("u", 1, 12)) == w and w**1 == w
+    assert calls == ["divide", "__pow__"]
+    calls.clear()
+    assert [w.revert(), g.revert()] == expected
+    assert calls == []
+    assert g.compose(expected[1]) == PowerSeries.identity("x", 9)
 
 
 # -- the integer layout: nums over one reduced den ---------------------------
