@@ -1,13 +1,14 @@
-"""Exact rationals, the integer convolution behind series and polynomial
-products, and ``UniPoly``, the polynomial ``A1(s)``.
+"""Exact rationals, the package's one integer convolution, and ``UniPoly``,
+the polynomial ``A1(s)``.
 
 Rationals are stdlib ``fractions.Fraction``: arbitrary precision, always in
 lowest terms with a positive denominator.  They are the input and output
 form only: ``PowerSeries``, ``CohClass`` and ``UniPoly`` all keep integer
 numerators over one denominator, so a product convolves the numerators
-(:func:`_int_convolve`) over the product of the denominators and reduces
-the result by one gcd, rather than one gcd per term (Knuth, TAOCP vol. 2,
-4.5.1).
+(:func:`_int_convolve`, on the nonzero terms that :func:`_terms` lists) over
+the product of the denominators and reduces the result by one gcd, rather
+than one gcd per term (Knuth, TAOCP vol. 2, 4.5.1).  Ring classes up to
+2k = 8 run the same convolution unrolled, in ``cohring._kernel``.
 
 ``UniPoly`` is the return type of ``a1_poly_in_s``, stored as ``CohClass``
 stores a class: integer numerators over one positive denominator, with the
@@ -47,6 +48,11 @@ def _int_convolve(n: int, a_terms, b_terms) -> list:
                 break
             acc[i + j] += x * y
     return acc
+
+
+def _terms(nums) -> list:
+    """The (i, x) of each nonzero entry, the operand form of _int_convolve."""
+    return [(i, x) for i, x in enumerate(nums) if x]
 
 
 def _check_exact(values, what: str) -> None:
@@ -115,7 +121,7 @@ class UniPoly:
         if other.variable != self.variable:
             raise ValueError(f"variable mismatch: {self.variable!r} vs {other.variable!r}")
         n = len(self.nums) + len(other.nums) - 1
-        nums = _int_convolve(n, list(enumerate(self.nums)), list(enumerate(other.nums)))
+        nums = _int_convolve(n, _terms(self.nums), _terms(other.nums))
         return UniPoly(self.variable, nums, self.den * other.den)
 
     def __call__(self, x):

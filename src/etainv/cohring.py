@@ -10,22 +10,23 @@ spanned by u^{2k-1}*v.
 A product is one integer convolution over den1*den2 that builds only the
 terms that can survive reduction: P1*P2 up to u^{2k} (which folds into
 c*u^{2k-1}*v) and P1*Q2 + Q1*P2 up to u^{2k-1}*v.  No rational is built per
-coefficient.  Up to 2k = _KERNEL_MAX_N = 8 it is one straight-line step, one
-per ring size, whose source is generated from 2k alone and compiled on the
-first product at that size (:func:`_kernel`): it takes the two classes'
-integers and returns the finished class through ``_canonical``.  At these
-sizes a product's cost is the interpreter's per-call work, not the
-arithmetic, so ``*`` compares the two specs by identity before ``==``, and
-a class's slots are set through their own descriptors rather than
-``object.__setattr__``.  Larger rings run :func:`_mul_loop`, which walks
-the rows (P1[i], Q1[i]) once and adds each nonzero row into both
-accumulators in one pass over (P2[j], Q2[j]), and then ``_canonical``: past
-k = 4 the kernel's compile time grows as k^2, the big-int entries of real
-classes leave it little to save (nothing at k = 64), and a request makes
-too few products per ring to repay the compile.
+coefficient.  :func:`_mul_loop` runs it as three calls of
+:func:`~etainv.coeffcore._int_convolve`, the convolution that series and
+polynomial products run on, and then ``_canonical``.  Up to
+2k = _KERNEL_MAX_N = 8 the same convolution is unrolled into one
+straight-line step per ring size, whose source is generated from 2k alone and
+compiled on the first product at that size (:func:`_kernel`): it takes the
+two classes' integers and returns the finished class through ``_canonical``.
+At these sizes a product's cost is the interpreter's per-call work, not the
+arithmetic, so ``*`` and ``==`` try the specs' identity before their
+``==``, and a class's slots are set through their own descriptors rather
+than ``object.__setattr__``.  Past k = 4 the kernel's compile time grows as
+k^2, the big-int entries of real classes leave it little to save (nothing
+at k = 64), and a request makes too few products per ring to repay the
+compile.
 ``**`` is the package's one binary exponentiation; ``*`` takes two classes,
-and :meth:`CohClass.scale` takes a rational.  Coefficients are ``int`` or
-``Fraction``; a float is a ``TypeError``.
+and :meth:`CohClass.scale` takes a rational.  Coefficients and scale factors
+are ``int`` or ``Fraction``; a float is a ``TypeError``.
 
 Because v^2 = 0 the ring is nearly univariate: :func:`coh_eval_series`
 evaluates f at a degree-2 class a*u + b*v in closed form, as
@@ -42,9 +43,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
-from .coeffcore import Rational, _check_exact, rat_to_str
+from .coeffcore import Rational, _check_exact, _int_convolve, _terms, rat_to_str
 from .series import PowerSeries
 
 __all__ = [
@@ -220,7 +221,7 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         return (
-            self.spec == other.spec
+            (self.spec is other.spec or self.spec == other.spec)
             and self.den == other.den
             and self.P == other.P
             and self.Q == other.Q
@@ -255,8 +256,8 @@ class CohClass:
         return self + (-other)
 
     def scale(self, c) -> "CohClass":
-        if not isinstance(c, int):
-            c = Rational(c)
+        """c * self for an int or Fraction c."""
+        _check_exact((c,), "scale factor")
         a = c.numerator
         return CohClass._canonical(
             self.spec,
@@ -310,38 +311,17 @@ _KERNEL_MAX_N = 8
 
 
 def _mul_loop(P1, Q1, P2, Q2, c):
-    """Numerators (pp, vq) of (P1 + v Q1)(P2 + v Q2) in the ring, by a row loop.
+    """Numerators (pp, vq) of (P1 + v Q1)(P2 + v Q2) in the ring, by _int_convolve.
 
     (p1 + v q1)(p2 + v q2) = p1 p2 + v (p1 q2 + q1 p2)   [v^2 = 0];
-    u^m = 0 for m > 2k and u^{2k} v = 0, so row i of the left factor reaches
-    u^m and u^m v for m < 2k, plus u^{2k} through P2[2k-i], which folds into
-    c*u^{2k-1}*v.  Zero rows are skipped.
+    u^m = 0 for m > 2k and u^{2k} v = 0, so p1 p2 is kept up to u^{2k}, whose
+    coefficient folds into c*u^{2k-1}*v, and p1 q2 + q1 p2 up to u^{2k-1}.
     """
     n = len(P1)
-    pp = [0] * n
-    vq = [0] * n
-    top = 0  # the u^{2k} coefficient
-    i = 0
-    for x, z in zip(P1, Q1):
-        m = i
-        if x:
-            if i:
-                top += x * P2[n - i]
-            for y, w in zip(P2, Q2):
-                if m == n:
-                    break
-                pp[m] += x * y
-                vq[m] += x * w + z * y
-                m += 1
-        elif z:
-            for y in P2:
-                if m == n:
-                    break
-                vq[m] += z * y
-                m += 1
-        i += 1
-    # u^{2k} folds into c*u^{2k-1}*v
-    vq[n - 1] += c * top
+    p1, p2 = _terms(P1), _terms(P2)
+    pp = _int_convolve(n + 1, p1, p2)
+    vq = list(map(add, _int_convolve(n, p1, _terms(Q2)), _int_convolve(n, _terms(Q1), p2)))
+    vq[-1] += c * pp.pop()
     return tuple(pp), tuple(vq)
 
 

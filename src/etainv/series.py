@@ -9,11 +9,12 @@ included, is a ``TypeError``); ``coeffs`` and :meth:`coeff` build
 ``Fraction``s only when asked.  No coefficient beyond the truncation is
 ever reported, and mixed-order arithmetic truncates to the minimum order.
 ``+``, ``-`` and ``*`` take two series; :meth:`PowerSeries.scale` is the one
-operation with a rational.
+operation with a rational, an ``int`` or a ``Fraction``.
 
 Every operation runs on the integers and reduces its result by one gcd
 (:meth:`PowerSeries._canonical`): a product is one integer convolution
-(:func:`~etainv.coeffcore._int_convolve`) over den_a*den_b.  The triangular
+over den_a*den_b, by :func:`~etainv.coeffcore._int_convolve`, which
+polynomial and ring products run on too.  The triangular
 recurrences of ``**`` and :meth:`PowerSeries.divide` keep the outputs found so
 far as integers over one running denominator, the lcm of their reduced
 denominators (:func:`_append_over`), so each new coefficient is an integer
@@ -30,7 +31,7 @@ from __future__ import annotations
 from math import factorial, gcd, lcm
 from operator import mul
 
-from .coeffcore import Rational, _check_exact, _int_convolve
+from .coeffcore import Rational, _check_exact, _int_convolve, _terms
 
 __all__ = [
     "PowerSeries",
@@ -85,11 +86,6 @@ def _reduced(den: int, nums: list) -> tuple:
     if g == 1:
         return den, nums
     return den // g, [x // g for x in nums]
-
-
-def _terms(nums) -> list:
-    """The (i, x) of each nonzero entry, the operand form of _int_convolve."""
-    return [(i, x) for i, x in enumerate(nums) if x]
 
 
 class PowerSeries:
@@ -194,7 +190,8 @@ class PowerSeries:
         return PowerSeries._canonical(self.variable, n, self.den * other.den, out)
 
     def scale(self, c) -> "PowerSeries":
-        """c * self for a rational c."""
+        """c * self for an int or Fraction c."""
+        _check_exact((c,), "scale factor")
         p = c.numerator
         nums = [p * x for x in self.nums]
         return PowerSeries._canonical(self.variable, self.order, self.den * c.denominator, nums)

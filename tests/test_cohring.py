@@ -169,6 +169,38 @@ def test_scalar_multiplication():
             product()
 
 
+def test_scale_takes_only_an_int_or_a_fraction():
+    # scale(0.1) would hold 3602879701896397/36028797018963968, and a str
+    # is no number: a scale factor is exact or refused
+    u = CohClass.u(RingSpec(2, 1))
+    for factor in (0.1, 2.0, "1/2"):
+        message = f"^scale factor must be int or Fraction, got {type(factor).__name__} "
+        with pytest.raises(TypeError, match=message):
+            u.scale(factor)
+    assert u.scale(Fraction(1, 10)) == CohClass(u.spec, (0, Fraction(1, 10)))
+
+
+def test_equality_compares_one_shared_spec_by_identity(monkeypatch):
+    # classes of one ring hold the same RingSpec: comparing them calls no
+    # RingSpec.__eq__, while equal but distinct specs still name one ring
+    calls = []
+    spec_eq = RingSpec.__eq__
+
+    def counting_eq(self, other):
+        calls.append((self, other))
+        return spec_eq(self, other)
+
+    monkeypatch.setattr(RingSpec, "__eq__", counting_eq)
+    spec = RingSpec(3, 1)
+    u = CohClass.u(spec)
+    assert u == CohClass.u(spec) and u != CohClass.v(spec)
+    assert calls == []
+    twin = RingSpec(3, 1)
+    assert u == CohClass.u(twin)
+    assert calls == [(spec, twin)]
+    assert u != CohClass.u(RingSpec(3, -1)) and u != CohClass.u(RingSpec(4, 1))
+
+
 def test_integration_reads_top_class():
     spec = RingSpec(2, 1)
     u = CohClass.u(spec)
@@ -258,7 +290,7 @@ _big_fractions = st.builds(
 
 @st.composite
 def _class_pairs(draw, coeff=_fractions):
-    # k = 2..4 multiply through the generated kernel, k = 5, 6 through the row loop
+    # k = 2..4 multiply through the generated kernel, k = 5, 6 through _mul_loop
     k = draw(st.integers(2, 6))
     spec = RingSpec(k, draw(st.sampled_from((1, -1, 3, -5))))
     coeffs = st.lists(coeff, min_size=2 * k, max_size=2 * k)
@@ -355,6 +387,20 @@ def test_product_with_large_coprime_denominators(pair):
     product = a * b
     assert product == _untruncated_product(a, b)
     _assert_normal_form(product)
+
+
+@pytest.mark.parametrize("k", [5, 8, 12, 16])
+@pytest.mark.parametrize("c", [1, -5])
+def test_products_of_ahat_classes_past_the_kernel_bound(k, c):
+    # the A-hat class has entries of about 100 bits at k = 16, far past what
+    # the hypothesis strategies draw; every 2k here is past _KERNEL_MAX_N
+    spec = RingSpec(k, c)
+    ahat = ahat_Bc(spec)
+    assert 2 * k > cohring._KERNEL_MAX_N
+    for s, t in ((2, 3), (-6, 7)):
+        degree_2 = CohClass.from_uv(spec, s, t)
+        assert ahat * degree_2 == degree_2 * ahat == _untruncated_product(ahat, degree_2)
+    assert ahat * ahat == _untruncated_product(ahat, ahat)
 
 
 _BIG = 2**63 - 1

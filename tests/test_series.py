@@ -354,6 +354,18 @@ def test_float_coefficients_raise_type_error():
             PowerSeries("x", coeffs, order)
 
 
+def test_scale_takes_only_an_int_or_a_fraction():
+    # a scale factor is exact or refused with a TypeError, as the
+    # coefficients are
+    f = series8([1, 2])
+    for factor in (0.5, 2.0, "1/2"):
+        message = f"^scale factor must be int or Fraction, got {type(factor).__name__} "
+        with pytest.raises(TypeError, match=message):
+            f.scale(factor)
+    assert f.scale(Fraction(1, 2)).nums == (1, 2) + (0,) * 7
+    assert f.scale(Fraction(1, 2)).den == 2
+
+
 def test_revert_calls_no_divide_and_no_pow(monkeypatch):
     # the reversion oracle builds each h^{-m} by its own Miller recurrence:
     # it shares neither ** (the production power) nor divide
